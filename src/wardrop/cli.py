@@ -24,7 +24,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -69,7 +71,7 @@ from .jsonio import (
     write_instance,
 )
 from .matroid import gen_matroid_unbounded
-from .tolerances import TAU_ABS, tau_rel
+from .tolerances import close_leq, tau_rel
 
 FAMILIES = (
     "braess-sub",
@@ -293,10 +295,11 @@ def cmd_analyze(args) -> int:
     if problems:
         raise InputError("instance invalid: " + "; ".join(problems))
     report: dict = {"instance": args.instance, "valid": True}
+    rtol = tau_rel()
 
     if args.flow_ref:
         reference = read_flow(args.flow_ref, instance, profile)
-        cert = verify_approx_nash(instance, reference, 0.0, rtol=tau_rel())
+        cert = verify_approx_nash(instance, reference, 0.0, rtol=rtol)
         if not cert.passed:
             raise InputError(
                 f"--flow-ref {args.flow_ref} is not an equilibrium "
@@ -343,9 +346,8 @@ def cmd_analyze(args) -> int:
                 if upper.infinite:
                     alt_entry["ratio_within_bound"] = True
                 else:
-                    lhs, rhs = ratio.ratio, upper.as_float
-                    alt_entry["ratio_within_bound"] = (
-                        lhs <= rhs + TAU_ABS + tau_rel() * abs(rhs)
+                    alt_entry["ratio_within_bound"] = close_leq(
+                        ratio.ratio, upper.as_float, rtol=rtol
                     )
             report["alternating"] = alt_entry
 
@@ -411,20 +413,11 @@ def _analyze_csv(report: dict) -> str:
         "slack": ratio.get("slack"),
         "q": alt.get("q"),
     }
-    buf = []
-    writer_target = _CsvBuffer(buf)
-    writer = csv.writer(writer_target, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(row))
     writer.writerow([_cell(v) for v in row.values()])
-    return "".join(buf)
-
-
-class _CsvBuffer:
-    def __init__(self, chunks: list):
-        self.chunks = chunks
-
-    def write(self, text: str):
-        self.chunks.append(text)
+    return buf.getvalue()
 
 
 # -- sweep ---------------------------------------------------------------
@@ -487,7 +480,9 @@ def _progression(key: str, obj: dict) -> list:
         raise InputError(
             f"parameter {key}: a range needs exactly start/stop/step, got {obj}"
         )
-    start, stop, step = (float(obj[k]) for k in ("start", "stop", "step"))
+    start, stop, step = (obj[k] for k in ("start", "stop", "step"))
+    if not all(type(v) is int for v in (start, stop, step)):
+        start, stop, step = (_as_float(key, v) for v in (start, stop, step))
     if step <= 0 or stop < start:
         raise InputError(f"parameter {key}: need step > 0 and stop >= start")
     values = []
@@ -570,7 +565,8 @@ def cmd_sweep(args) -> int:
         metrics["status"] = status
         return metrics, error, elapsed_ms
 
-    jobs = max(1, args.jobs)
+    # rows are independent, so more threads than rows or CPUs only add overhead
+    jobs = max(1, min(args.jobs, os.cpu_count() or 1, len(rows)))
     results: list = [None] * len(rows)
     if jobs == 1:
         for idx in range(len(rows)):
@@ -581,9 +577,8 @@ def cmd_sweep(args) -> int:
                 results[idx] = res
 
     header = ["family", *keys, "ratio", "bound", "gap", "q", "status", "runtime_ms"]
-    lines: list[str] = []
-    target = _CsvBuffer(lines)
-    writer = csv.writer(target, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     errors = []
     for row, (metrics, error, elapsed_ms) in zip(rows, results):
@@ -596,7 +591,7 @@ def cmd_sweep(args) -> int:
         cells.append("" if args.no_timing else format_float(elapsed_ms))
         writer.writerow(cells)
     with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write(buf.getvalue())
     if errors and len(errors) == len(rows):
         return max(getattr(e, "exit_code", 3) for e in errors)
     return 0

@@ -10,18 +10,25 @@ sensitivity) with strictly increasing sensitivities inside a commodity.  The
 same container doubles as a per-class tolerance profile when the second
 member is read as an approximation factor instead of a sensitivity.
 
+Solvers and verifiers share one compiled view that ``GameInstance`` caches
+on first use: the read-only ``resource_index()``, ``strategy_ids`` (each
+strategy as a tuple of resource positions) and ``latencies(loads)``, which
+evaluates every resource once.
+
 All types are immutable; operations are pure functions of their arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isfinite
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import InputError, InvariantError, WardropError
 from .latency import DeviationFn, LatencyFn
-from .tolerances import TAU_ABS, tau_rel
+from .tolerances import TAU_ABS, close_leq, demand_matches, tau_rel
 
 
 @dataclass(frozen=True)
@@ -56,14 +63,34 @@ class GameInstance:
     graph: NetworkAnnotation | None = None
     meta: Mapping | None = None
 
-    def resource_index(self) -> dict[str, int]:
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        # plain dict in the cache so instances still pickle and deep-copy
         return {res.id: k for k, res in enumerate(self.resources)}
 
+    def resource_index(self) -> Mapping[str, int]:
+        """Read-only map from resource id to its position in ``resources``."""
+        return MappingProxyType(self._positions)
+
+    @cached_property
+    def strategy_ids(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``strategy_ids[i][p]``: positions of the resources of strategy p of
+        commodity i, in the strategy's own order."""
+        index = self._positions
+        return tuple(
+            tuple(tuple(index[rid] for rid in strat) for strat in commodity.strategies)
+            for commodity in self.commodities
+        )
+
+    def latencies(self, loads: Sequence[float]) -> list[float]:
+        """Latency of every resource at the given per-resource loads."""
+        return [res.latency(x) for res, x in zip(self.resources, loads)]
+
     def latency_of(self, rid: str) -> LatencyFn:
-        for res in self.resources:
-            if res.id == rid:
-                return res.latency
-        raise InputError(f"unknown resource id {rid!r}")
+        k = self._positions.get(rid)
+        if k is None:
+            raise InputError(f"unknown resource id {rid!r}")
+        return self.resources[k].latency
 
     @property
     def is_parallel_link(self) -> bool:
@@ -103,6 +130,7 @@ class SensitivityProfile:
                 f"profile covers {len(self.classes)} commodities, "
                 f"instance has {len(instance.commodities)}"
             )
+        rtol = tau_rel()
         for i, (classes, commodity) in enumerate(zip(self.classes, instance.commodities)):
             if not classes:
                 raise InvariantError(f"commodity {i} has no sensitivity classes")
@@ -120,8 +148,7 @@ class SensitivityProfile:
                 raise InvariantError(
                     f"commodity {i} class values must be strictly increasing, got {values}"
                 )
-            slack = TAU_ABS + tau_rel() * max(1.0, abs(commodity.demand))
-            if abs(total - commodity.demand) > slack:
+            if not demand_matches(total, commodity.demand, rtol):
                 raise InvariantError(
                     f"commodity {i} class demands sum to {total}, expected {commodity.demand}"
                 )
@@ -134,10 +161,6 @@ class SensitivityProfile:
         return SensitivityProfile(
             tuple(tuple((d, factor * v) for d, v in cls_) for cls_ in self.classes)
         )
-
-
-def _as_strategy(path: Iterable[str]) -> tuple[str, ...]:
-    return tuple(path)
 
 
 def validate_instance(instance: GameInstance) -> list[str]:
@@ -257,7 +280,6 @@ class Flow:
     values: tuple[tuple[tuple[float, ...], ...], ...]
     class_demands: tuple[tuple[float, ...], ...]
     loads: tuple[float, ...] = field(compare=False)
-    commodity_loads: tuple[tuple[float, ...], ...] = field(compare=False)
 
     @classmethod
     def build(
@@ -275,6 +297,7 @@ class Flow:
             demands = tuple(tuple(d for d, _ in cl) for cl in profile.classes)
         else:
             demands = tuple((c.demand,) for c in instance.commodities)
+        rtol = tau_rel()
         cleaned: list[tuple[tuple[float, ...], ...]] = []
         for i, commodity in enumerate(instance.commodities):
             per_class = values[i]
@@ -292,6 +315,10 @@ class Flow:
                 vals = []
                 for p, v in enumerate(row):
                     v = float(v)
+                    if not isfinite(v):
+                        raise InputError(
+                            f"commodity {i} class {j} strategy {p} flow {v} is not finite"
+                        )
                     if v < 0.0:
                         if v < -TAU_ABS:
                             raise InvariantError(
@@ -300,21 +327,18 @@ class Flow:
                         v = 0.0
                     vals.append(v)
                 total = sum(vals)
-                slack = TAU_ABS + tau_rel() * max(1.0, demands[i][j])
-                if abs(total - demands[i][j]) > slack:
+                if not demand_matches(total, demands[i][j], rtol):
                     raise InvariantError(
                         f"commodity {i} class {j} routes {total}, demand is {demands[i][j]}"
                     )
                 rows.append(tuple(vals))
             cleaned.append(tuple(rows))
         values_t = tuple(cleaned)
-        per_comm, total_loads = _edge_loads(instance, values_t)
         return cls(
             instance=instance,
             values=values_t,
             class_demands=demands,
-            loads=total_loads,
-            commodity_loads=per_comm,
+            loads=_edge_loads(instance, values_t),
         )
 
     @classmethod
@@ -351,7 +375,7 @@ class Flow:
 
     def recompute_loads(self) -> tuple[float, ...]:
         """Re-derive total loads with the construction-time summation order."""
-        return _edge_loads(self.instance, self.values)[1]
+        return _edge_loads(self.instance, self.values)
 
     def used(self, i: int, j: int, threshold: float = TAU_ABS) -> list[int]:
         return [p for p, v in enumerate(self.values[i][j]) if v > threshold]
@@ -360,24 +384,21 @@ class Flow:
 def _edge_loads(
     instance: GameInstance,
     values: tuple[tuple[tuple[float, ...], ...], ...],
-) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
-    index = instance.resource_index()
+) -> tuple[float, ...]:
+    """Per-resource loads, summed within each commodity first and then
+    across commodities (the order ``recompute_loads`` audits)."""
     n = len(instance.resources)
-    per_comm: list[tuple[float, ...]] = []
-    for i, commodity in enumerate(instance.commodities):
-        loads_i = [0.0] * n
-        for row in values[i]:
-            for p, strat in enumerate(commodity.strategies):
-                v = row[p]
-                if v != 0.0:
-                    for rid in strat:
-                        loads_i[index[rid]] += v
-        per_comm.append(tuple(loads_i))
     totals = [0.0] * n
-    for loads_i in per_comm:
+    for ids, rows in zip(instance.strategy_ids, values):
+        loads_i = [0.0] * n
+        for row in rows:
+            for p, v in enumerate(row):
+                if v != 0.0:
+                    for k in ids[p]:
+                        loads_i[k] += v
         for k in range(n):
             totals[k] += loads_i[k]
-    return tuple(per_comm), tuple(totals)
+    return tuple(totals)
 
 
 def path_latency(
@@ -387,17 +408,17 @@ def path_latency(
     index = instance.resource_index()
     total = 0.0
     for rid in strategy:
-        if rid not in index:
+        k = index.get(rid)
+        if k is None:
             raise InputError(f"unknown resource id {rid!r}")
-        total += instance.resources[index[rid]].latency(loads[index[rid]])
+        total += instance.resources[k].latency(loads[k])
     return total
 
 
 def strategy_latencies(instance: GameInstance, i: int, loads: Sequence[float]) -> list[float]:
     """Latency of every strategy of commodity i under the given loads."""
-    index = instance.resource_index()
-    lat = [instance.resources[k].latency(loads[k]) for k in range(len(instance.resources))]
-    return [sum(lat[index[rid]] for rid in strat) for strat in instance.commodities[i].strategies]
+    lat = instance.latencies(loads)
+    return [sum(lat[k] for k in ids) for ids in instance.strategy_ids[i]]
 
 
 def social_cost(instance: GameInstance, flow: Flow) -> float:
@@ -413,10 +434,10 @@ def social_cost(instance: GameInstance, flow: Flow) -> float:
 def _check_feasible(instance: GameInstance, flow: Flow) -> None:
     if flow.instance is not instance and flow.instance != instance:
         raise InputError("flow was built for a different instance")
+    rtol = tau_rel()
     for i, commodity in enumerate(instance.commodities):
         routed = sum(sum(row) for row in flow.values[i])
-        slack = TAU_ABS + tau_rel() * max(1.0, commodity.demand)
-        if abs(routed - commodity.demand) > slack:
+        if not demand_matches(routed, commodity.demand, rtol):
             raise InvariantError(
                 f"commodity {i} routes {routed}, demand is {commodity.demand}"
             )
@@ -445,6 +466,10 @@ class DeviationProfile:
             raise InputError("exactly one of strategy_values / edge_fns must be given")
         if not (isfinite(self.beta) and self.beta >= 0):
             raise InputError(f"beta must be a nonnegative float, got {self.beta}")
+        if self.strategy_values is not None and not all(
+            isfinite(v) for row in self.strategy_values for v in row
+        ):
+            raise InputError("explicit strategy deviations must be finite")
 
     @property
     def edge_induced(self) -> bool:
@@ -463,19 +488,17 @@ class DeviationProfile:
         """Deviation of strategy p of commodity i at the given loads."""
         if self.strategy_values is not None:
             return self.strategy_values[i][p]
-        index = instance.resource_index()
         strat = instance.commodities[i].strategies[p]
-        total = 0.0
-        for rid in strat:
-            fn = self.edge_fns.get(rid)  # type: ignore[union-attr]
-            if fn is not None:
-                total += fn(loads[index[rid]], instance.resources[index[rid]].latency)
-        return total
+        return sum(
+            self.edge_value(instance, rid, loads[k])
+            for rid, k in zip(strat, instance.strategy_ids[i][p])
+        )
 
     def check_membership(
         self, instance: GameInstance, flow: Flow, *, atol: float = TAU_ABS
     ) -> None:
         """Raise InputError when some deviation leaves [0, beta * latency]."""
+        rtol = tau_rel()
         if self.edge_fns is not None:
             index = instance.resource_index()
             for rid in sorted(self.edge_fns):
@@ -485,7 +508,7 @@ class DeviationProfile:
                 load = flow.loads[k]
                 dv = self.edge_fns[rid](load, instance.resources[k].latency)
                 cap = self.beta * instance.resources[k].latency(load)
-                if dv < -atol or dv > cap + atol + tau_rel() * cap:
+                if dv < -atol or not close_leq(dv, cap, atol=atol, rtol=rtol):
                     raise InputError(
                         f"deviation on resource {rid!r} is {dv} at load {load}, "
                         f"outside [0, {cap}]"
@@ -494,13 +517,14 @@ class DeviationProfile:
         assert self.strategy_values is not None
         if len(self.strategy_values) != len(instance.commodities):
             raise InputError("explicit deviations do not match the commodity list")
+        lat = instance.latencies(flow.loads)
         for i, commodity in enumerate(instance.commodities):
             if len(self.strategy_values[i]) != len(commodity.strategies):
                 raise InputError(f"commodity {i}: deviation list does not match strategies")
             for p, strat in enumerate(commodity.strategies):
                 dv = self.strategy_values[i][p]
-                cap = self.beta * path_latency(instance, strat, flow.loads)
-                if dv < -atol or dv > cap + atol + tau_rel() * cap:
+                cap = self.beta * sum(lat[k] for k in instance.strategy_ids[i][p])
+                if dv < -atol or not close_leq(dv, cap, atol=atol, rtol=rtol):
                     raise InputError(
                         f"deviation on commodity {i} strategy {list(strat)} is {dv}, "
                         f"outside [0, {cap}]"

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb, isfinite
+from math import isfinite
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .core import (
     require_valid_instance,
 )
 from .errors import ConvergenceError, InputError, InvariantError, RefusalError
-from .tolerances import TAU_ABS, tau_rel
+from .tolerances import TAU_ABS, close_leq, demand_matches, tau_rel
 
 SEARCH_VARIABLE_CAP = 8
 DEFAULT_MAX_ITER = 100_000
@@ -82,6 +82,14 @@ class EquilibriumCertificate:
     passed: bool
     atol: float
     rtol: float
+
+    @classmethod
+    def from_records(
+        cls, kind: str, records, atol: float, rtol: float
+    ) -> "EquilibriumCertificate":
+        """Certificate that passes when every record has lhs <= rhs within tolerance."""
+        passed = all(close_leq(rec.lhs, rec.rhs, atol=atol, rtol=rtol) for rec in records)
+        return cls(kind, tuple(records), passed, atol, rtol)
 
     @property
     def worst_slack(self) -> float:
@@ -129,6 +137,7 @@ def _resolve_profile(
             )
         )
     profile.validate(instance)
+    rtol = tau_rel()
     for i in range(len(instance.commodities)):
         if len(profile.classes[i]) != len(flow.class_demands[i]):
             raise InputError(
@@ -136,8 +145,7 @@ def _resolve_profile(
                 f"flow has {len(flow.class_demands[i])}"
             )
         for j, (dem, _) in enumerate(profile.classes[i]):
-            slack = TAU_ABS + tau_rel() * max(1.0, dem)
-            if abs(dem - flow.class_demands[i][j]) > slack:
+            if not demand_matches(flow.class_demands[i][j], dem, rtol):
                 raise InputError(
                     f"commodity {i} class {j}: profile demand {dem} does not match "
                     f"flow class demand {flow.class_demands[i][j]}"
@@ -145,11 +153,21 @@ def _resolve_profile(
     return profile
 
 
-def _passes(slack: float, rhs: float, atol: float, rtol: float) -> bool:
-    return slack >= -(atol + rtol * abs(rhs))
-
-
 # -- verification ---------------------------------------------------------
+
+
+def _worst_used(i: int, j: int, strategies, costs, used, witness_p: int, rhs: float):
+    """Record for the costliest used strategy of class j of commodity i."""
+    worst_p = max(used, key=costs.__getitem__)
+    return ViolationRecord(
+        commodity=i,
+        cls=j,
+        path=strategies[worst_p],
+        witness=strategies[witness_p],
+        lhs=costs[worst_p],
+        rhs=rhs,
+        slack=rhs - costs[worst_p],
+    )
 
 
 def verify_approx_nash(
@@ -168,31 +186,18 @@ def verify_approx_nash(
     atol = TAU_ABS if atol is None else atol
     profile = _resolve_profile(instance, flow, eps)
     records: list[ViolationRecord] = []
-    passed = True
     for i, commodity in enumerate(instance.commodities):
         lat = strategy_latencies(instance, i, flow.loads)
         min_lat = min(lat)
         witness_p = lat.index(min_lat)
         for j, (_, eps_j) in enumerate(profile.classes[i]):
             used = flow.used(i, j)
-            if not used:
-                continue
-            rhs = (1.0 + eps_j) * min_lat
-            worst_p = max(used, key=lambda p: lat[p])
-            slack = rhs - lat[worst_p]
-            records.append(
-                ViolationRecord(
-                    commodity=i,
-                    cls=j,
-                    path=commodity.strategies[worst_p],
-                    witness=commodity.strategies[witness_p],
-                    lhs=lat[worst_p],
-                    rhs=rhs,
-                    slack=slack,
+            if used:
+                rhs = (1.0 + eps_j) * min_lat
+                records.append(
+                    _worst_used(i, j, commodity.strategies, lat, used, witness_p, rhs)
                 )
-            )
-            passed = passed and _passes(slack, rhs, atol, rtol)
-    return EquilibriumCertificate("approx-nash", tuple(records), passed, atol, rtol)
+    return EquilibriumCertificate.from_records("approx-nash", records, atol, rtol)
 
 
 def verify_deviated_nash(
@@ -216,7 +221,6 @@ def verify_deviated_nash(
     prof = _resolve_profile(instance, flow, profile)
     deviations.check_membership(instance, flow, atol=atol)
     records: list[ViolationRecord] = []
-    passed = True
     for i, commodity in enumerate(instance.commodities):
         lat = strategy_latencies(instance, i, flow.loads)
         dev = [
@@ -229,22 +233,10 @@ def verify_deviated_nash(
             if not used:
                 continue
             rhs = min(qvals)
-            witness_p = qvals.index(rhs)
-            worst_p = max(used, key=lambda p: qvals[p])
-            slack = rhs - qvals[worst_p]
             records.append(
-                ViolationRecord(
-                    commodity=i,
-                    cls=j,
-                    path=commodity.strategies[worst_p],
-                    witness=commodity.strategies[witness_p],
-                    lhs=qvals[worst_p],
-                    rhs=rhs,
-                    slack=slack,
-                )
+                _worst_used(i, j, commodity.strategies, qvals, used, qvals.index(rhs), rhs)
             )
-            passed = passed and _passes(slack, rhs, atol, rtol)
-    return EquilibriumCertificate("deviated-nash", tuple(records), passed, atol, rtol)
+    return EquilibriumCertificate.from_records("deviated-nash", records, atol, rtol)
 
 
 def deviations_from_approx(
@@ -322,8 +314,7 @@ def _parallel_link_loads(instance: GameInstance) -> list[float]:
     """Equilibrium strategy flows on parallel links by common-level bisection."""
     commodity = instance.commodities[0]
     r = commodity.demand
-    index = instance.resource_index()
-    fns = [instance.resources[index[s[0]]].latency for s in commodity.strategies]
+    fns = [instance.resources[ids[0]].latency for ids in instance.strategy_ids[0]]
 
     def take(fn, level: float) -> float:
         # largest load in [0, r] whose latency stays <= level
@@ -370,10 +361,6 @@ def _parallel_link_loads(instance: GameInstance) -> list[float]:
 # -- potential minimization ------------------------------------------------
 
 
-def _latency_vector(fns, loads: np.ndarray) -> np.ndarray:
-    return np.array([fn(x) for fn, x in zip(fns, loads)])
-
-
 def _line_search(fns, loads: np.ndarray, delta: np.ndarray, tmax: float) -> float:
     """argmin over t in [0, tmax] of the potential along loads + t*delta."""
     touched = np.flatnonzero(delta)
@@ -414,26 +401,23 @@ def _line_search(fns, loads: np.ndarray, delta: np.ndarray, tmax: float) -> floa
 
 
 def _frank_wolfe(
-    instance: GameInstance, target_gap: float, max_iter: int
+    instance: GameInstance, target_gap: float, max_iter: int, rtol: float
 ) -> tuple[list[np.ndarray], float]:
     """Minimize the routing potential; returns per-commodity strategy flows
     and the achieved relative duality gap."""
-    index = instance.resource_index()
     n = len(instance.resources)
     fns = [res.latency for res in instance.resources]
     incidences: list[np.ndarray] = []
-    demands: list[float] = []
-    for commodity in instance.commodities:
-        inc = np.zeros((len(commodity.strategies), n))
-        for p, strat in enumerate(commodity.strategies):
-            for rid in strat:
-                inc[p, index[rid]] = 1.0
+    demands = [commodity.demand for commodity in instance.commodities]
+    for strategy_ids in instance.strategy_ids:
+        inc = np.zeros((len(strategy_ids), n))
+        for p, ids in enumerate(strategy_ids):
+            inc[p, list(ids)] = 1.0
         incidences.append(inc)
-        demands.append(commodity.demand)
 
     flows = [np.zeros(inc.shape[0]) for inc in incidences]
     loads = np.zeros(n)
-    latv = _latency_vector(fns, loads)
+    latv = np.array(instance.latencies(loads))
     for i, inc in enumerate(incidences):
         best = int(np.argmin(inc @ latv))
         flows[i][best] = demands[i]
@@ -446,11 +430,11 @@ def _frank_wolfe(
         exceeds the certificate margin over the cheapest strategy; the
         aggregate gap alone can hide crumbs of flow on costly strategies.
         """
-        latv = _latency_vector(fns, loads)
+        latv = np.array(instance.latencies(loads))
         gap = 0.0
         cost = 0.0
         resid = 0.0
-        margin_rel = 0.5 * tau_rel()
+        margin_rel = 0.5 * rtol
         for i, inc in enumerate(incidences):
             c = inc @ latv
             cost += float(flows[i] @ c)
@@ -466,7 +450,7 @@ def _frank_wolfe(
     while True:
         moved = False
         for i, inc in enumerate(incidences):
-            latv = _latency_vector(fns, loads)
+            latv = np.array(instance.latencies(loads))
             c = inc @ latv
             best = int(np.argmin(c))
             active = np.flatnonzero(flows[i] > 0.0)
@@ -558,17 +542,18 @@ def compute_nash_flow(
     use_exact = method == "exact-parallel" or (
         method == "auto" and instance.is_parallel_link
     )
+    rtol = tau_rel()
     if use_exact:
         per_commodity = [_parallel_link_loads(instance)]
     else:
-        target = min(tau_rel(), 1e-11) if rel_gap is None else rel_gap
-        flows, _ = _frank_wolfe(instance, target, max_iter)
+        target = min(rtol, 1e-11) if rel_gap is None else rel_gap
+        flows, _ = _frank_wolfe(instance, target, max_iter, rtol)
         per_commodity = [list(map(float, f)) for f in flows]
     if profile is None:
         flow = Flow.single_class(instance, per_commodity)
     else:
         flow = Flow.spread_classes(instance, per_commodity, profile)
-    cert = verify_approx_nash(instance, flow, 0.0, atol=TAU_ABS, rtol=tau_rel())
+    cert = verify_approx_nash(instance, flow, 0.0, atol=TAU_ABS, rtol=rtol)
     if not cert.passed:
         raise ConvergenceError(
             f"solver output fails the equilibrium check (worst slack {cert.worst_slack})",
@@ -606,9 +591,7 @@ def heterogeneous_parallel_equilibrium(
     if not 0.0 < damping <= 1.0:
         raise InputError(f"damping must lie in (0, 1], got {damping}")
 
-    commodity = instance.commodities[0]
-    index = instance.resource_index()
-    arcs = [index[s[0]] for s in commodity.strategies]
+    arcs = [ids[0] for ids in instance.strategy_ids[0]]
     fns = [instance.resources[k].latency for k in arcs]
     rids = [instance.resources[k].id for k in arcs]
     classes = list(profile.classes[0])
@@ -721,13 +704,8 @@ def worst_approx_search(
             f"search space has {dims} strategy-class variables, cap is {SEARCH_VARIABLE_CAP}"
         )
 
-    index = instance.resource_index()
     n = len(instance.resources)
-    fns = [res.latency for res in instance.resources]
-    strat_idx = [
-        [[index[rid] for rid in strat] for strat in c.strategies]
-        for c in instance.commodities
-    ]
+    strat_idx = instance.strategy_ids
 
     blocks = []  # (commodity, class demand, eps, candidate rows)
     for i, specs in enumerate(class_specs):
@@ -749,7 +727,7 @@ def worst_approx_search(
                 if v:
                     for e in strat_idx[i][p]:
                         loads[e] += v
-        lat = [fns[e](loads[e]) for e in range(n)]
+        lat = instance.latencies(loads)
         strat_lat = [
             [sum(lat[e] for e in ids) for ids in strat_idx[i]]
             for i in range(len(instance.commodities))

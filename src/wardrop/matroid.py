@@ -35,7 +35,7 @@ from .equilibria import (
 from .errors import InputError, InvariantError, RefusalError
 from .jsonio import dumps_canonical
 from .latency import DeviationFn, LatencyFn
-from .tolerances import TAU_ABS, tau_rel
+from .tolerances import TAU_ABS, close_leq, tau_rel
 
 BASIS_CAP = 1_000_000
 
@@ -89,14 +89,10 @@ class UniformMatroidGame:
             meta=self.meta,
         )
 
-    def to_instance(self) -> GameInstance:
-        return self.instance
-
 
 def matroid_nash_flow(game: UniformMatroidGame, *, rel_gap: float | None = None) -> Flow:
     """Equilibrium flow over the enumerated bases (certificate-checked)."""
-    method = "auto" if game.rank == 1 else "potential"
-    return compute_nash_flow(game.instance, method=method, rel_gap=rel_gap)
+    return compute_nash_flow(game.instance, rel_gap=rel_gap)
 
 
 def _edge_weights(
@@ -105,12 +101,10 @@ def _edge_weights(
     deviations: DeviationProfile | None,
     gamma: float,
 ) -> list[float]:
-    weights = []
-    for k, res in enumerate(game.resources):
-        w = res.latency(flow.loads[k])
-        if deviations is not None:
-            w += gamma * deviations.edge_value(game.instance, res.id, flow.loads[k])
-        weights.append(w)
+    weights = game.instance.latencies(flow.loads)
+    if deviations is not None:
+        for k, res in enumerate(game.resources):
+            weights[k] += gamma * deviations.edge_value(game.instance, res.id, flow.loads[k])
     return weights
 
 
@@ -159,10 +153,8 @@ def verify_matroid_deviated(
         if deviations is not None:
             deviations.check_membership(game.instance, flow, atol=atol)
         weights = _edge_weights(game, flow, deviations, gamma)
-        index = game.instance.resource_index()
-        order = {rid: k for k, rid in enumerate(game.ground_ids)}
+        ground = game.ground_ids
         records: list[ViolationRecord] = []
-        passed = True
         for j in range(len(flow.values[0])):
             used = flow.used(0, j)
             if not used:
@@ -170,16 +162,16 @@ def verify_matroid_deviated(
             worst = None
             for p in used:
                 basis = game.bases[p]
-                inside = set(basis)
-                q_basis = sum(weights[index[rid]] for rid in basis)
-                out = [rid for rid in game.ground_ids if rid not in inside]
+                members = game.instance.strategy_ids[0][p]
+                inside = set(members)
+                q_basis = sum(weights[k] for k in members)
+                out = [k for k in range(len(ground)) if k not in inside]
                 if out:
-                    drop = max(basis, key=lambda rid: (weights[index[rid]], order[rid]))
-                    add = min(out, key=lambda rid: (weights[index[rid]], order[rid]))
-                    q_swap = q_basis - weights[index[drop]] + weights[index[add]]
-                    witness = tuple(
-                        sorted((inside - {drop}) | {add}, key=order.__getitem__)
-                    )
+                    # equal weights are ordered by ground-set position
+                    drop = max(members, key=lambda k: (weights[k], k))
+                    add = min(out, key=lambda k: (weights[k], k))
+                    q_swap = q_basis - weights[drop] + weights[add]
+                    witness = tuple(ground[k] for k in sorted((inside - {drop}) | {add}))
                     rhs = min(q_basis, q_swap)
                     if rhs == q_basis:
                         witness = basis
@@ -196,10 +188,7 @@ def verify_matroid_deviated(
                     lhs=lhs, rhs=rhs, slack=slack,
                 )
             )
-            passed = passed and slack >= -(atol + rtol * abs(rhs))
-        cert = EquilibriumCertificate(
-            "matroid-deviated-swap", tuple(records), passed, atol, rtol
-        )
+        cert = EquilibriumCertificate.from_records("matroid-deviated-swap", records, atol, rtol)
     if cross_check:
         other = verify_matroid_deviated(
             game, flow, deviations, gamma,
@@ -243,7 +232,7 @@ def gen_matroid_unbounded(
         if not (isfinite(M) and M >= 1.0):
             raise InputError(f"M must be a float >= 1, got {M}")
         lhs, rhs = k * M, (1.0 + eps) * (1.0 + (k - 1) * M)
-        if lhs > rhs + TAU_ABS + tau_rel() * abs(rhs):
+        if not close_leq(lhs, rhs, rtol=tau_rel()):
             raise InputError(
                 f"M={M} breaks the equilibrium condition k*M <= (1+eps)*(1+(k-1)*M) "
                 f"({lhs} > {rhs}); the largest admissible value is "
@@ -349,14 +338,14 @@ def check_matroid_exchange_claims(
         if xe > ze + TAU_ABS:
             lhs = lat_x
             rhs = (1.0 + beta) * res.latency(ze)
-            ok = lhs <= rhs + atol + rtol * abs(rhs)
+            ok = close_leq(lhs, rhs, atol=atol, rtol=rtol)
             per_resource.append(ClaimRecord(res.id, lhs, rhs, rhs - lhs, ok))
             passed = passed and ok
             over_sum += (xe - ze) * lat_x
         else:
             under_sum += (ze - xe) * lat_x
     agg_rhs = (1.0 + beta) * under_sum
-    agg_ok = over_sum <= agg_rhs + atol + rtol * abs(agg_rhs)
+    agg_ok = close_leq(over_sum, agg_rhs, atol=atol, rtol=rtol)
     aggregate = ClaimRecord(None, over_sum, agg_rhs, agg_rhs - over_sum, agg_ok)
     return ExchangeClaimsReport(
         per_resource=tuple(per_resource),
@@ -373,7 +362,7 @@ def matroid_cost_ratio_ok(
     cz = sum(z.loads[k] * res.latency(z.loads[k]) for k, res in enumerate(game.resources))
     bound: BoundValue = matroid_dr_bound(beta)
     rhs = bound.as_float * cz
-    return cx <= rhs + TAU_ABS + tau_rel() * abs(rhs)
+    return close_leq(cx, rhs, rtol=tau_rel())
 
 
 # -- serialization ---------------------------------------------------------

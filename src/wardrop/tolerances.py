@@ -1,8 +1,11 @@
 """Numeric tolerances used by every solver and verifier.
 
-All arithmetic is double precision.  Equality-style checks use a relative
-tolerance ``tau_rel`` (default 1e-9, overridable through the WARDROP_TOL
-environment variable) with an absolute floor ``TAU_ABS`` (1e-12).
+All arithmetic is double precision.  This module alone holds the slack
+rules: an inequality lhs <= rhs holds when lhs <= rhs + atol + rtol*|rhs|
+(``close_leq``), and routed flow meets a demand when the two differ by at
+most TAU_ABS + rtol*max(1, |demand|) (``demand_matches``).  ``rtol`` is
+``tau_rel`` (default 1e-9, overridable through the WARDROP_TOL environment
+variable), read once per public call; ``TAU_ABS`` (1e-12) is the floor.
 """
 
 from __future__ import annotations
@@ -34,3 +37,8 @@ def tau_rel() -> float:
 def close_leq(lhs: float, rhs: float, *, atol: float = TAU_ABS, rtol: float = 0.0) -> bool:
     """lhs <= rhs up to the mixed tolerance atol + rtol*|rhs|."""
     return lhs <= rhs + atol + rtol * abs(rhs)
+
+
+def demand_matches(total: float, demand: float, rtol: float) -> bool:
+    """|total - demand| <= TAU_ABS + rtol*max(1, |demand|); False for a NaN total."""
+    return abs(total - demand) <= TAU_ABS + rtol * max(1.0, abs(demand))

@@ -237,6 +237,18 @@ def test_analyze_invalid_inputs(tmp_path, capsys):
     assert "instance invalid" in stderr
 
 
+def test_analyze_rejects_non_finite_flow(braess_files, tmp_path, capsys):
+    with open(braess_files["x"], encoding="utf-8") as fh:
+        records = json.load(fh)
+    records[0]["value"] = float("nan")
+    bad = tmp_path / "nan.x.json"
+    bad.write_text(json.dumps(records))  # writes a bare NaN
+    code, _, stderr = run(capsys, "analyze", "--instance", braess_files["instance"],
+                          "--flow", str(bad))
+    assert code == 2
+    assert "not finite" in stderr
+
+
 def test_analyze_nonconvergence_exit_code(braess_files, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError("did not settle", achieved=0.1)
@@ -309,6 +321,43 @@ def test_sweep_deterministic_and_parallel(tmp_path, capsys):
     assert row[7] == ""  # q not requested
 
 
+def test_sweep_integer_range_stays_integer(tmp_path, capsys):
+    spec = write_spec(tmp_path, {
+        "family": "braess-sub",
+        "params": {"m": {"start": 2, "stop": 4, "step": 1}, "eps": 0.1},
+    })
+    out = tmp_path / "ints.csv"
+    code, _, _ = run(capsys, "sweep", "--spec", spec, "--out", str(out), "--no-timing")
+    assert code == 0
+    rows = list(csv.reader(out.read_text().splitlines()[1:]))
+    assert [r[2] for r in rows] == ["2", "3", "4"]
+
+
+def test_sweep_jobs_capped_by_rows_and_cpus(tmp_path, capsys, monkeypatch):
+    spec = write_spec(tmp_path, {
+        "family": "braess-sub",
+        "params": {"m": [2, 3, 4], "eps": 0.1},
+    })
+    pools = []
+    real_pool = cli.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    outs = []
+    for jobs in ("1", "64"):
+        out = tmp_path / f"j{jobs}.csv"
+        code, _, _ = run(capsys, "sweep", "--spec", spec, "--out", str(out),
+                         "--jobs", jobs, "--no-timing")
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert pools == [3]
+
+
 def test_sweep_matroid_row(tmp_path, capsys):
     spec = write_spec(tmp_path, {
         "family": "matroid-unbounded",
@@ -342,6 +391,8 @@ def test_sweep_spec_validation(tmp_path, capsys):
         {"family": "braess-sub", "params": {"m": 2, "eps": 0.1}, "extra": 1},
         {"family": "braess-sub",
          "params": {"m": 2, "eps": {"start": 0.2, "stop": 0.1, "step": 0.1}}},
+        {"family": "braess-sub",
+         "params": {"m": 2, "eps": {"start": "a", "stop": 0.2, "step": 0.1}}},
     ]
     for obj in cases:
         spec = write_spec(tmp_path, obj)

@@ -1,7 +1,10 @@
 """Domain types and evaluation primitives: flows, costs, validation,
 profiles, deviations."""
 
+import json
+import math
 import random
+import sys
 
 import pytest
 
@@ -18,11 +21,13 @@ from wardrop import (
     Resource,
     SensitivityProfile,
     gen_braess_subcritical,
+    gen_two_arc_dr,
     path_latency,
     social_cost,
     strategy_latencies,
     validate_instance,
 )
+from wardrop import tolerances
 from wardrop.core import require_valid_instance
 
 from corpus import (
@@ -164,6 +169,13 @@ def test_flow_build_rejects_negative_entry():
     inst = pigou()
     with pytest.raises(InvariantError):
         Flow.single_class(inst, [[1.0, -0.001]])
+
+
+def test_flow_build_rejects_non_finite_entry():
+    inst = pigou()
+    for row in ([math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0]):
+        with pytest.raises(InputError):
+            Flow.single_class(inst, [row])
 
 
 def test_flow_build_clamps_tiny_negative():
@@ -335,6 +347,17 @@ def test_deviation_profile_requires_exactly_one_representation():
         DeviationProfile(-0.5, edge_fns={"e1": DeviationFn.zero()})
 
 
+def test_deviation_profile_rejects_non_finite_values():
+    with pytest.raises(InputError):
+        DeviationProfile(1.0, strategy_values=((math.nan, 0.0),))
+    with pytest.raises(InputError):
+        DeviationProfile(1.0, strategy_values=((0.0, math.inf),))
+    # Python's json accepts a bare NaN, so the reader must reject it itself
+    obj = json.loads('{"beta": 1.0, "strategies": [[NaN, 0.0]]}')
+    with pytest.raises(InputError):
+        DeviationProfile.from_obj(obj)
+
+
 def test_deviation_strategy_value_edge_induced():
     inst = pigou()
     dev = DeviationProfile(
@@ -402,3 +425,52 @@ def test_is_parallel_link():
 def test_latency_of_unknown():
     with pytest.raises(InputError):
         pigou().latency_of("ghost")
+
+
+# -- compiled instance view and tolerance reads -----------------------------------
+
+
+def test_strategy_ids_match_resource_index():
+    for case in generator_corpus():
+        inst = case["instance"]
+        index = inst.resource_index()
+        for i, commodity in enumerate(inst.commodities):
+            for p, strat in enumerate(commodity.strategies):
+                assert list(inst.strategy_ids[i][p]) == [index[rid] for rid in strat]
+
+
+def test_resource_index_is_read_only():
+    inst = pigou()
+    index = inst.resource_index()
+    with pytest.raises(TypeError):
+        index["ghost"] = 2
+    assert dict(inst.resource_index()) == {"e1": 0, "e2": 1}
+
+
+@pytest.fixture
+def tau_rel_reads(monkeypatch):
+    """List that grows by one on every read of tau_rel inside wardrop."""
+    reads = []
+    original = tolerances.tau_rel
+
+    def counted():
+        reads.append(None)
+        return original()
+
+    for name, module in list(sys.modules.items()):
+        if name == "wardrop" or name.startswith("wardrop."):
+            if getattr(module, "tau_rel", None) is original:
+                monkeypatch.setattr(module, "tau_rel", counted)
+    return reads
+
+
+def test_flow_build_reads_tolerance_a_fixed_number_of_times(tau_rel_reads):
+    counts = {}
+    for h in (10, 1000):
+        instance, profile, _dev, x, _z, _b = gen_two_arc_dr(
+            0.5, [1.0] * h, [(c + 1) / h for c in range(h)]
+        )
+        tau_rel_reads.clear()
+        Flow.build(instance, x.values, profile)
+        counts[h] = len(tau_rel_reads)
+    assert counts[1000] == counts[10] <= 2

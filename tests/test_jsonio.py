@@ -196,6 +196,9 @@ def test_flow_from_obj_errors():
         flow_from_obj([{"commodity": 0, "class": 0, "path": ["zz"], "value": d}], inst)
     with pytest.raises(InputError):
         flow_from_obj([{"commodity": 0, "class": 0}], inst)
+    nan_record = json.loads('[{"commodity": 0, "class": 0, "path": ["e0"], "value": NaN}]')
+    with pytest.raises(InputError):
+        flow_from_obj(nan_record, inst)
 
 
 def test_write_read_flow(tmp_path):
