@@ -12,8 +12,9 @@ member is read as an approximation factor instead of a sensitivity.
 
 Solvers and verifiers share one compiled view that ``GameInstance`` caches
 on first use: the read-only ``resource_index()``, ``strategy_ids`` (each
-strategy as a tuple of resource positions) and ``latencies(loads)``, which
-evaluates every resource once.
+strategy as a tuple of resource positions), ``latencies(loads)``, which
+evaluates every resource once, and ``latency_bank``, the same evaluation
+compiled for numpy load vectors.
 
 All types are immutable; operations are pure functions of their arguments.
 """
@@ -27,7 +28,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import InputError, InvariantError, WardropError
-from .latency import DeviationFn, LatencyFn
+from .latency import DeviationFn, LatencyBank, LatencyFn
 from .tolerances import TAU_ABS, close_leq, demand_matches, tau_rel
 
 
@@ -85,6 +86,11 @@ class GameInstance:
     def latencies(self, loads: Sequence[float]) -> list[float]:
         """Latency of every resource at the given per-resource loads."""
         return [res.latency(x) for res, x in zip(self.resources, loads)]
+
+    @cached_property
+    def latency_bank(self) -> LatencyBank:
+        """``latencies`` compiled for numpy load vectors (same values)."""
+        return LatencyBank([res.latency for res in self.resources])
 
     def latency_of(self, rid: str) -> LatencyFn:
         k = self._positions.get(rid)

@@ -8,8 +8,9 @@ exactly by bisecting on the common latency level; everything else runs a
 linearize / best-strategy / line-search loop over the product of demand
 simplices, moving mass from the costliest used strategy to the cheapest
 strategy of one commodity at a time with an exact line search (closed form
-on piecewise-linear latencies, bisection otherwise).  Termination is by
-relative duality gap.
+on piecewise-linear latencies, Illinois regula falsi otherwise).  Latencies
+come from the instance's compiled ``latency_bank``, one vector per step.
+Termination is by relative duality gap.
 
 ``heterogeneous_parallel_equilibrium`` computes equilibria under bounded
 deviations for populations with several sensitivity classes on parallel
@@ -29,7 +30,7 @@ worst slack per class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import isfinite
 
 import numpy as np
@@ -364,21 +365,23 @@ def _parallel_link_loads(instance: GameInstance) -> list[float]:
 def _line_search(fns, loads: np.ndarray, delta: np.ndarray, tmax: float) -> float:
     """argmin over t in [0, tmax] of the potential along loads + t*delta."""
     touched = np.flatnonzero(delta)
+    # plain floats: the scalar latencies run several times faster on them
+    terms = list(zip([fns[e] for e in touched], loads[touched].tolist(), delta[touched].tolist()))
 
     def dphi(t: float) -> float:
         total = 0.0
-        for e in touched:
-            total += delta[e] * fns[e](loads[e] + t * delta[e])
+        for fn, x, d in terms:
+            total += d * fn(x + t * d)
         return total
 
     d0 = dphi(0.0)
     if d0 >= 0.0:
         return 0.0
-    if all(fns[e].is_piecewise for e in touched):
+    if all(fn.is_piecewise for fn, _, _ in terms):
         ts = set()
-        for e in touched:
-            for bx in fns[e].breakpoint_loads():
-                t = (bx - loads[e]) / delta[e]
+        for fn, x, d in terms:
+            for bx in fn.breakpoint_loads():
+                t = (bx - x) / d
                 if 0.0 < t < tmax:
                     ts.add(t)
         prev, dprev = 0.0, d0
@@ -388,15 +391,31 @@ def _line_search(fns, loads: np.ndarray, delta: np.ndarray, tmax: float) -> floa
                 return prev + (t - prev) * (-dprev) / (dt - dprev)
             prev, dprev = t, dt
         return tmax
-    if dphi(tmax) <= 0.0:
+    # Illinois regula falsi on a bracket with dphi(a) < 0 <= dphi(b)
+    a, fa = 0.0, d0
+    b, fb = tmax, dphi(tmax)
+    if fb <= 0.0:
         return tmax
-    a, b = 0.0, tmax
+    side = 0
     for _ in range(100):
-        mid = 0.5 * (a + b)
-        if dphi(mid) < 0.0:
-            a = mid
+        t = b - fb * (b - a) / (fb - fa)
+        if not a < t < b:
+            t = 0.5 * (a + b)
+            if not a < t < b:
+                break  # a and b are adjacent doubles
+        ft = dphi(t)
+        if ft == 0.0:
+            return t
+        if ft < 0.0:
+            a, fa = t, ft
+            if side < 0:
+                fb *= 0.5
+            side = -1
         else:
-            b = mid
+            b, fb = t, ft
+            if side > 0:
+                fa *= 0.5
+            side = 1
     return 0.5 * (a + b)
 
 
@@ -407,51 +426,54 @@ def _frank_wolfe(
     and the achieved relative duality gap."""
     n = len(instance.resources)
     fns = [res.latency for res in instance.resources]
+    bank = instance.latency_bank
     incidences: list[np.ndarray] = []
     demands = [commodity.demand for commodity in instance.commodities]
     for strategy_ids in instance.strategy_ids:
         inc = np.zeros((len(strategy_ids), n))
-        for p, ids in enumerate(strategy_ids):
-            inc[p, list(ids)] = 1.0
+        rows = np.repeat(np.arange(len(strategy_ids)), [len(ids) for ids in strategy_ids])
+        inc[rows, list(chain.from_iterable(strategy_ids))] = 1.0
         incidences.append(inc)
 
     flows = [np.zeros(inc.shape[0]) for inc in incidences]
     loads = np.zeros(n)
-    latv = np.array(instance.latencies(loads))
+    latv = bank(loads)
     for i, inc in enumerate(incidences):
         best = int(np.argmin(inc @ latv))
         flows[i][best] = demands[i]
         loads = loads + demands[i] * inc[best]
 
-    def progress() -> tuple[float, float]:
-        """(relative duality gap, worst per-strategy residual).
+    def strategy_costs() -> list[np.ndarray]:
+        latv = bank(loads)
+        return [inc @ latv for inc in incidences]
 
-        The residual is the amount by which some flow-carrying strategy
-        exceeds the certificate margin over the cheapest strategy; the
-        aggregate gap alone can hide crumbs of flow on costly strategies.
+    def progress(costs: list[np.ndarray]) -> tuple[float, bool]:
+        """(relative duality gap, whether every flow-carrying strategy is
+        within the certificate margin of the cheapest one).
+
+        The aggregate gap alone can hide crumbs of flow on costly strategies.
         """
-        latv = np.array(instance.latencies(loads))
         gap = 0.0
         cost = 0.0
-        resid = 0.0
-        margin_rel = 0.5 * rtol
-        for i, inc in enumerate(incidences):
-            c = inc @ latv
-            cost += float(flows[i] @ c)
+        settled = True
+        for f, c, demand in zip(flows, costs, demands):
+            fc = float(f @ c)
             cmin = float(np.min(c))
-            gap += float(flows[i] @ c) - demands[i] * cmin
-            active = np.flatnonzero(flows[i] > TAU_ABS)
+            cost += fc
+            gap += fc - demand * cmin
+            active = np.flatnonzero(f > TAU_ABS)
             if active.size:
                 worst = float(np.max(c[active]))
-                resid = max(resid, (worst - cmin) - (TAU_ABS + margin_rel * cmin))
-        return gap / max(cost, TAU_ABS), resid
+                settled = settled and close_leq(worst, cmin, atol=TAU_ABS, rtol=0.5 * rtol)
+        return gap / max(cost, TAU_ABS), settled
 
     steps = 0
+    costs = strategy_costs()
     while True:
         moved = False
         for i, inc in enumerate(incidences):
-            latv = np.array(instance.latencies(loads))
-            c = inc @ latv
+            # until a step of this pass moves the loads, progress() priced them
+            c = inc @ bank(loads) if moved else costs[i]
             best = int(np.argmin(c))
             active = np.flatnonzero(flows[i] > 0.0)
             worst = int(active[np.argmax(c[active])])
@@ -469,7 +491,7 @@ def _frank_wolfe(
                 moved = True
             if steps > max_iter:
                 loads = _recompute(incidences, flows, n)
-                achieved, _ = progress()
+                achieved, _ = progress(strategy_costs())
                 raise ConvergenceError(
                     f"potential minimization exceeded {max_iter} iterations "
                     f"(relative duality gap {achieved:.3e}, target {target_gap:.3e})",
@@ -477,8 +499,9 @@ def _frank_wolfe(
                 )
         loads = _recompute(incidences, flows, n)
         np.maximum(loads, 0.0, out=loads)
-        rel, resid = progress()
-        if rel <= target_gap and resid <= 0.0:
+        costs = strategy_costs()
+        rel, settled = progress(costs)
+        if rel <= target_gap and settled:
             return flows, rel
         if not moved:
             raise ConvergenceError(

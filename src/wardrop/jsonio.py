@@ -137,9 +137,12 @@ def instance_from_obj(
                 )
             )
             if "classes" in c:
-                class_rows.append(
-                    tuple((float(k["demand"]), float(k["value"])) for k in c["classes"])
-                )
+                rows = tuple((float(k["demand"]), float(k["value"])) for k in c["classes"])
+                if not all(isfinite(d) and isfinite(v) for d, v in rows):
+                    raise InputError(
+                        f"commodity {len(class_rows)}: class demands and values must be finite"
+                    )
+                class_rows.append(rows)
             else:
                 class_rows.append(None)
     except (KeyError, TypeError) as exc:

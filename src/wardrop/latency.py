@@ -11,6 +11,9 @@ required to be non-decreasing and continuous.  Four shapes are supported:
                             constant and right of the last breakpoint with
                             ``final_slope``.
 
+``LatencyBank`` compiles a list of latency functions once and evaluates all
+of them on a numpy load vector, with the same values as the scalar calls.
+
 Deviation functions describe the extra perceived cost an agent attaches to
 a resource.  They must be nonnegative but need not be monotone; membership
 in the bounded deviation set (0 <= delta <= beta * latency) is checked at
@@ -22,7 +25,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InputError, InvariantError
 
@@ -127,8 +133,7 @@ class LatencyFn:
 
     def _pwl_value(self, x: float) -> float:
         pts = self.points
-        xs = [p[0] for p in pts]
-        i = bisect_right(xs, x) - 1
+        i = bisect_right(pts, x, key=itemgetter(0)) - 1
         if i < 0:
             return pts[0][1]
         if i == len(pts) - 1:
@@ -217,6 +222,66 @@ class LatencyFn:
         raise InputError(f"unknown latency kind {kind!r}")
 
 
+class LatencyBank:
+    """The latencies of a resource list, compiled for evaluation all at once.
+
+    Constant, affine and polynomial latencies become columns of one Horner
+    coefficient matrix, zero-padded at the high-order end.  Piecewise-linear
+    latencies share one segment table whose rows read y0 + dy*(x - x0)/dx:
+    a flat row (dy = 0, dx = 1) below the first breakpoint, one row per
+    segment, and a final-slope row (dx = 1) past the last breakpoint.  Every
+    value is then computed by the same operations as ``LatencyFn.__call__``
+    and equals it bit for bit (up to the sign of a zero latency built from a
+    -0.0 coefficient).
+    """
+
+    def __init__(self, fns: Sequence[LatencyFn]):
+        smooth = [k for k, fn in enumerate(fns) if fn.kind != "piecewise-linear"]
+        pwl = [k for k, fn in enumerate(fns) if fn.kind == "piecewise-linear"]
+        self._smooth = np.array(smooth, dtype=np.intp)
+        self._pwl = np.array(pwl, dtype=np.intp)
+
+        degree = max((len(fns[k].coeffs) for k in smooth), default=0)
+        coeffs = np.zeros((degree, len(smooth)))
+        for col, k in enumerate(smooth):
+            cs = fns[k].coeffs
+            coeffs[degree - len(cs):, col] = cs[::-1]
+        self._horner = tuple(coeffs)  # highest order first
+
+        width = max((len(fns[k].points) for k in pwl), default=0)
+        self._breaks = np.full((len(pwl), width), np.inf)
+        first: list[int] = []
+        rows: list[tuple[float, float, float, float]] = []  # (x0, y0, dy, dx)
+        for r, k in enumerate(pwl):
+            fn = fns[k]
+            pts = fn.points
+            self._breaks[r, : len(pts)] = [x for x, _ in pts]
+            first.append(len(rows))
+            rows.append((pts[0][0], pts[0][1], 0.0, 1.0))
+            rows.extend((xa, ya, yb - ya, xb - xa) for (xa, ya), (xb, yb) in zip(pts, pts[1:]))
+            rows.append((pts[-1][0], pts[-1][1], fn.final_slope, 1.0))
+        self._first = np.array(first, dtype=np.intp)
+        self._table = np.array(rows).reshape(-1, 4).T.copy()
+
+    def __call__(self, loads: np.ndarray) -> np.ndarray:
+        """Latency of every resource at the given per-resource loads."""
+        out = np.empty(len(loads))
+        if self._smooth.size:
+            x = loads[self._smooth]
+            acc = np.zeros(x.size)
+            for row in self._horner:
+                acc *= x
+                acc += row
+            out[self._smooth] = acc
+        if self._pwl.size:
+            x = loads[self._pwl]
+            # bisect_right over each breakpoint row, padded with +inf
+            seg = self._first + (self._breaks <= x[:, None]).sum(axis=1)
+            x0, y0, dy, dx = self._table[:, seg]
+            out[self._pwl] = y0 + dy * (x - x0) / dx
+        return out
+
+
 @dataclass(frozen=True)
 class DeviationFn:
     """Per-resource deviation offset; nonnegative but not necessarily monotone.
@@ -282,12 +347,15 @@ class DeviationFn:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InputError(f"deviation object must be a dict with a 'kind', got {obj!r}")
         kind = obj["kind"]
-        if kind == "constant":
-            return cls.constant(obj["value"])
-        if kind == "scaled":
-            return cls.scaled(obj["factor"])
-        if kind == "piecewise-linear":
-            return cls.piecewise_linear(
-                [(p[0], p[1]) for p in obj["points"]], obj.get("final_slope", 0.0)
-            )
+        try:
+            if kind == "constant":
+                return cls.constant(obj["value"])
+            if kind == "scaled":
+                return cls.scaled(obj["factor"])
+            if kind == "piecewise-linear":
+                return cls.piecewise_linear(
+                    [(p[0], p[1]) for p in obj["points"]], obj.get("final_slope", 0.0)
+                )
+        except KeyError as exc:
+            raise InputError(f"deviation object {obj!r} is missing field {exc}") from exc
         raise InputError(f"unknown deviation kind {kind!r}")

@@ -25,6 +25,7 @@ from wardrop import (
     gen_parallel_sr,
     gen_random_sp,
     gen_two_arc_dr,
+    enumerate_st_paths,
     strategy_latencies,
 )
 
@@ -71,6 +72,23 @@ def random_parallel_instance(
     )
     commodity = Commodity(d, tuple((f"e{i}",) for i in range(n)))
     return GameInstance(resources, (commodity,), graph=graph)
+
+
+def grid_instance(rng: random.Random, k: int, family: str = "mixed") -> GameInstance:
+    """k x k grid DAG (arcs right and down), unit demand over every
+    source-sink path."""
+    nodes, arcs, resources = [], [], []
+    for i in range(k):
+        for j in range(k):
+            nodes.append(f"n{i}_{j}")
+            for tag, a, b in (("r", i, j + 1), ("d", i + 1, j)):
+                if a < k and b < k:
+                    rid = f"{tag}{i}_{j}"
+                    arcs.append((rid, f"n{i}_{j}", f"n{a}_{b}"))
+                    resources.append(Resource(rid, random_latency(rng, family)))
+    graph = NetworkAnnotation(tuple(nodes), tuple(arcs), "n0_0", f"n{k - 1}_{k - 1}")
+    paths = tuple(enumerate_st_paths(graph))
+    return GameInstance(tuple(resources), (Commodity(1.0, paths),), graph=graph)
 
 
 def random_profile(

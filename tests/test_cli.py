@@ -249,6 +249,32 @@ def test_analyze_rejects_non_finite_flow(braess_files, tmp_path, capsys):
     assert "not finite" in stderr
 
 
+def test_analyze_rejects_non_finite_class(tmp_path, capsys):
+    path = tmp_path / "dr.json"
+    run(capsys, "gen", "two-arc-dr", "--beta", "1", "--r", "0.5,0.5",
+        "--gamma", "1,2", "--j", "2", "--out", str(path))
+    for field in ("value", "demand"):
+        obj = json.loads(path.read_text())
+        obj["commodities"][0]["classes"][0][field] = float("nan")
+        bad = tmp_path / f"nan-{field}.json"
+        bad.write_text(json.dumps(obj))  # writes a bare NaN
+        code, _, stderr = run(capsys, "analyze", "--instance", str(bad))
+        assert code == 2
+        assert "must be finite" in stderr
+
+
+def test_analyze_rejects_incomplete_deviation(tmp_path, capsys):
+    path = tmp_path / "dr.json"
+    run(capsys, "gen", "two-arc-dr", "--beta", "1", "--r", "0.5,0.5",
+        "--gamma", "1,2", "--j", "2", "--out", str(path))
+    obj = json.loads(path.read_text())
+    del obj["deviations"]["edges"]["a1"]["value"]
+    path.write_text(json.dumps(obj))
+    code, _, stderr = run(capsys, "analyze", "--instance", str(path))
+    assert code == 2
+    assert "missing field 'value'" in stderr
+
+
 def test_analyze_nonconvergence_exit_code(braess_files, capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError("did not settle", achieved=0.1)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from wardrop import (
@@ -25,6 +26,7 @@ from wardrop import (
     empirical_ratio,
     gen_braess_subcritical,
     gen_parallel_sr,
+    gen_random_sp,
     gen_two_arc_dr,
     heterogeneous_parallel_equilibrium,
     relative_duality_gap,
@@ -36,10 +38,14 @@ from wardrop import (
     worst_approx_search,
 )
 
+from wardrop.equilibria import _line_search
+
 from corpus import (
     generator_corpus,
+    grid_instance,
     measured_eps,
     random_feasible_flow,
+    random_latency,
     random_parallel_instance,
     random_profile,
 )
@@ -268,6 +274,96 @@ def test_potential_optimality_spot_check():
         for _ in range(100):
             other = random_feasible_flow(rng, inst)
             assert base <= beckmann_potential(inst, other) + tau_rel() * scale
+
+
+def _slope(fns, loads, delta, t):
+    """Derivative of the potential along loads + t*delta, summed in the
+    order the line search uses."""
+    total = 0.0
+    for e in np.flatnonzero(delta):
+        d = float(delta[e])
+        total += d * fns[e](float(loads[e]) + t * d)
+    return total
+
+
+def test_line_search_lands_on_a_sign_change():
+    rng = random.Random(1618)
+    searched = {True: 0, False: 0}  # all touched latencies piecewise?
+    for _ in range(1000):
+        n = rng.randint(2, 25)
+        fns = [random_latency(rng) for _ in range(n)]
+        loads = np.array([rng.uniform(0.05, 2.0) for _ in range(n)])
+        ids = rng.sample(range(n), rng.randint(2, n))
+        cut = rng.randint(1, len(ids) - 1)
+        delta = np.zeros(n)
+        delta[ids[:cut]] = 1.0
+        delta[ids[cut:]] = -1.0
+        # as in Frank-Wolfe, the step never drives a load below zero
+        tmax = rng.uniform(0.1, 1.0) * float(min(loads[ids[cut:]]))
+        t = _line_search(fns, loads, delta, tmax)
+        assert 0.0 <= t <= tmax
+        if t == 0.0:
+            assert _slope(fns, loads, delta, 0.0) >= 0.0
+            continue
+        if t == tmax and _slope(fns, loads, delta, tmax) <= 0.0:
+            continue
+        w = 1e-9 * tmax
+        lo, hi = max(0.0, t - w), min(tmax, t + w)
+        assert _slope(fns, loads, delta, lo) < 0.0 <= _slope(fns, loads, delta, hi)
+        searched[all(fns[e].is_piecewise for e in ids)] += 1
+    assert min(searched.values()) >= 30
+
+
+def _beckmann_loads(instance: GameInstance) -> np.ndarray:
+    """Loads of a path-flow minimizer of the routing potential, from SLSQP."""
+    from scipy import optimize
+    fns = [res.latency for res in instance.resources]
+    paths = instance.strategy_ids[0]
+    inc = np.zeros((len(paths), len(fns)))
+    for p, ids in enumerate(paths):
+        inc[p, list(ids)] = 1.0
+    demand = instance.commodities[0].demand
+
+    def loads_of(f):
+        return np.maximum(f @ inc, 0.0)
+
+    def potential(f):
+        return sum(fn.integral(x) for fn, x in zip(fns, loads_of(f)))
+
+    def gradient(f):
+        return inc @ np.array([fn(x) for fn, x in zip(fns, loads_of(f))])
+
+    result = optimize.minimize(
+        potential,
+        np.full(len(paths), demand / len(paths)),
+        jac=gradient,
+        method="SLSQP",
+        bounds=[(0.0, None)] * len(paths),
+        constraints=[{"type": "eq", "fun": lambda f: f.sum() - demand,
+                      "jac": lambda f: np.ones(len(paths))}],
+        options={"ftol": 1e-15, "maxiter": 2000},
+    )
+    assert result.success, result.message
+    return loads_of(result.x)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [grid_instance(random.Random(seed), k, family)
+     for seed, k, family in ((5, 4, "affine"), (6, 4, "polynomial"), (7, 5, "piecewise-linear"))]
+    + [gen_random_sp(seed, depth=5, max_leaves=16)[0] for seed in (0, 6, 22, 24)],
+)
+def test_frank_wolfe_matches_scipy_beckmann(instance):
+    pytest.importorskip("scipy.optimize")
+    flow = compute_nash_flow(instance, method="potential")
+    reference = _beckmann_loads(instance)
+    # loads are unique on strictly increasing latencies; constants may trade load
+    for k, res in enumerate(instance.resources):
+        if res.latency.kind != "constant":
+            assert flow.loads[k] == pytest.approx(reference[k], abs=1e-5)
+    ours = beckmann_potential(instance, flow)
+    theirs = sum(res.latency.integral(x) for res, x in zip(instance.resources, reference))
+    assert ours <= theirs + 1e-9
 
 
 def test_compute_nash_method_validation():

@@ -4,12 +4,14 @@ validation, and serialization."""
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from wardrop import DeviationFn, InputError, InvariantError, LatencyFn
+from wardrop.latency import LatencyBank
 
-from corpus import random_latency
+from corpus import generator_corpus, random_latency
 
 
 def test_constant_evaluation():
@@ -152,6 +154,38 @@ def test_latency_from_obj_errors():
         LatencyFn.from_obj("not a dict")
 
 
+def test_latency_bank_matches_scalar_bit_for_bit():
+    fns = [res.latency for case in generator_corpus() for res in case["instance"].resources]
+    rng = random.Random(4242)
+    fns += [random_latency(rng) for _ in range(40)]
+    fns += [
+        LatencyFn.piecewise_linear(((0.5, 1.0),), final_slope=2.0),
+        LatencyFn.piecewise_linear(((0.75, 0.25),)),
+        LatencyFn.piecewise_linear(((0.3, 0.5), (0.9, 1.25), (1.5, 4.0)), final_slope=0.5),
+    ]
+    assert {fn.kind for fn in fns} == {"constant", "affine", "polynomial", "piecewise-linear"}
+    bank = LatencyBank(fns)
+    pwl = [fn for fn in fns if fn.kind == "piecewise-linear"]
+    probes = [np.zeros(len(fns))]
+    for fn in pwl:
+        for x in fn.breakpoint_loads():  # exactly on a breakpoint, and just below it
+            probes += [np.full(len(fns), x), np.full(len(fns), np.nextafter(x, -1.0))]
+    probes += [np.array([rng.uniform(0.0, 3.0) for _ in fns]) for _ in range(50)]
+    assert any(fn.points[0][0] > 0.0 for fn in pwl)  # the zero probe lies below it
+    for loads in probes:
+        got = bank(loads)
+        want = np.array([fn(x) for fn, x in zip(fns, loads.tolist())])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_latency_bank_single_kind_and_empty():
+    smooth = [LatencyFn.constant(2.0), LatencyFn.polynomial((1.0, 0.0, 0.5))]
+    assert LatencyBank(smooth)(np.array([1.0, 2.0])).tolist() == [2.0, 3.0]
+    pwl = [LatencyFn.piecewise_linear(((1.0, 1.0), (2.0, 3.0)))]
+    assert LatencyBank(pwl)(np.array([0.5])).tolist() == [1.0]
+    assert LatencyBank([])(np.zeros(0)).shape == (0,)
+
+
 # -- deviation functions ------------------------------------------------------
 
 
@@ -198,3 +232,9 @@ def test_deviation_round_trip():
 def test_deviation_from_obj_unknown_kind():
     with pytest.raises(InputError):
         DeviationFn.from_obj({"kind": "exotic"})
+
+
+def test_deviation_from_obj_missing_field():
+    for obj in ({"kind": "constant"}, {"kind": "scaled"}, {"kind": "piecewise-linear"}):
+        with pytest.raises(InputError, match="missing field"):
+            DeviationFn.from_obj(obj)
