@@ -12,9 +12,10 @@ member is read as an approximation factor instead of a sensitivity.
 
 Solvers and verifiers share one compiled view that ``GameInstance`` caches
 on first use: the read-only ``resource_index()``, ``strategy_ids`` (each
-strategy as a tuple of resource positions), ``latencies(loads)``, which
-evaluates every resource once, and ``latency_bank``, the same evaluation
-compiled for numpy load vectors.
+strategy as a tuple of resource positions), ``strategy_table`` (the same
+positions as one padded integer array per commodity), ``latencies(loads)``,
+which evaluates every resource once, and ``latency_bank``, the same
+evaluation compiled for numpy load vectors.
 
 All types are immutable; operations are pure functions of their arguments.
 """
@@ -23,13 +24,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import isfinite
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import InputError, InvariantError, WardropError
 from .latency import DeviationFn, LatencyBank, LatencyFn
 from .tolerances import TAU_ABS, close_leq, demand_matches, tau_rel
+
+# Fewer strategies than this take the per-strategy Python loops instead of
+# ``strategy_table``: there the loops cost less than the table's fixed
+# numpy overhead (crossovers near 50 strategies to validate, 20 to sum), and
+# a short-lived CLI process touches no extra numpy code pages.
+TABLE_MIN_STRATEGIES = 64
 
 
 @dataclass(frozen=True)
@@ -77,11 +87,28 @@ class GameInstance:
     def strategy_ids(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """``strategy_ids[i][p]``: positions of the resources of strategy p of
         commodity i, in the strategy's own order."""
-        index = self._positions
+        position = self._positions.__getitem__
         return tuple(
-            tuple(tuple(index[rid] for rid in strat) for strat in commodity.strategies)
+            tuple(tuple(map(position, strat)) for strat in commodity.strategies)
             for commodity in self.commodities
         )
+
+    @cached_property
+    def strategy_table(self) -> tuple[np.ndarray, ...]:
+        """``strategy_table[i]``: read-only (P, L) integer array whose row p
+        is ``strategy_ids[i][p]`` padded with ``len(resources)``, where L is
+        the length of the longest strategy of commodity i."""
+        n = len(self.resources)
+        tables = []
+        for ids in self.strategy_ids:
+            lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
+            table = np.full((len(ids), int(lengths.max(initial=0))), n, dtype=np.intp)
+            table[np.arange(table.shape[1]) < lengths[:, None]] = np.fromiter(
+                chain.from_iterable(ids), dtype=np.intp, count=int(lengths.sum())
+            )
+            table.flags.writeable = False
+            tables.append(table)
+        return tuple(tables)
 
     def latencies(self, loads: Sequence[float]) -> list[float]:
         """Latency of every resource at the given per-resource loads."""
@@ -170,7 +197,15 @@ class SensitivityProfile:
 
 
 def validate_instance(instance: GameInstance) -> list[str]:
-    """Collect every violated instance invariant; empty list iff well formed."""
+    """Collect every violated instance invariant; empty list iff well formed.
+
+    On instances with at least ``TABLE_MIN_STRATEGIES`` strategies, a
+    vectorized screen of ``strategy_table`` picks the strategies that may
+    break a rule, and only those are checked one by one.  Otherwise, or when
+    resource ids repeat, a strategy names an unknown id or the graph arcs do
+    not match the resources, every strategy is checked one by one.  The
+    report is the same either way.
+    """
     report: list[str] = []
     seen: set[str] = set()
     for res in instance.resources:
@@ -185,13 +220,26 @@ def validate_instance(instance: GameInstance) -> list[str]:
             report.append(f"resource {res.id!r}: {exc}")
     if not instance.commodities:
         report.append("instance has no commodities")
+    screens = None
+    if (
+        sum(len(c.strategies) for c in instance.commodities) >= TABLE_MIN_STRATEGIES
+        and len(seen) == len(instance.resources)
+        and (instance.graph is None or _arcs_match(instance))
+    ):
+        from .screen import screen  # compiled only by the processes that screen
+
+        screens = screen(instance)
     for i, commodity in enumerate(instance.commodities):
         if not (isfinite(commodity.demand) and commodity.demand > 0):
             report.append(f"commodity {i} demand must be positive, got {commodity.demand}")
-        if not commodity.strategies:
+        strategies = commodity.strategies
+        if not strategies:
             report.append(f"commodity {i} has no strategies")
+        # unscreened: every strategy, repeats found through ``canon``
+        rows, repeated = (range(len(strategies)), None) if screens is None else screens[i]
         canon = set()
-        for strat in commodity.strategies:
+        for p in rows:
+            strat = strategies[p]
             if not strat:
                 report.append(f"commodity {i} has an empty strategy")
                 continue
@@ -202,12 +250,16 @@ def validate_instance(instance: GameInstance) -> list[str]:
                 report.append(
                     f"commodity {i} strategy uses unknown resource {missing[0]!r}"
                 )
-            key = frozenset(strat)
-            if key in canon:
+            if repeated is None:
+                key = frozenset(strat)
+                twice = key in canon
+                canon.add(key)
+            else:
+                twice = p in repeated
+            if twice:
                 report.append(f"commodity {i} lists strategy {sorted(strat)} twice")
-            canon.add(key)
     if instance.graph is not None:
-        report.extend(_graph_violations(instance))
+        report.extend(_graph_violations(instance, screens))
     return report
 
 
@@ -218,7 +270,16 @@ def require_valid_instance(instance: GameInstance) -> None:
         raise InvariantError(report[0])
 
 
-def _graph_violations(instance: GameInstance) -> list[str]:
+def _arcs_match(instance: GameInstance) -> bool:
+    arc_ids = [rid for rid, _, _ in instance.graph.arcs]  # type: ignore[union-attr]
+    return set(arc_ids) == {res.id for res in instance.resources} and len(arc_ids) == len(
+        set(arc_ids)
+    )
+
+
+def _graph_violations(
+    instance: GameInstance, screens: list[tuple[list[int], set[int]]] | None
+) -> list[str]:
     graph = instance.graph
     assert graph is not None
     report: list[str] = []
@@ -229,10 +290,7 @@ def _graph_violations(instance: GameInstance) -> list[str]:
         report.append("graph terminals must be listed nodes")
     if graph.source == graph.sink:
         report.append("graph source and sink must differ")
-    arc_ids = [rid for rid, _, _ in graph.arcs]
-    if set(arc_ids) != {res.id for res in instance.resources} or len(arc_ids) != len(
-        set(arc_ids)
-    ):
+    if not _arcs_match(instance):
         # Path checks below would chase missing arcs; stop at the mismatch.
         report.append("graph arcs must match the resource set one-to-one")
         return report
@@ -241,8 +299,10 @@ def _graph_violations(instance: GameInstance) -> list[str]:
         if tail not in node_set or head not in node_set:
             report.append(f"arc {rid!r} references an unknown node")
     for i, commodity in enumerate(instance.commodities):
-        for strat in commodity.strategies:
-            msg = _path_violation(arc_map, strat, graph.source, graph.sink, i)
+        strategies = commodity.strategies
+        rows = range(len(strategies)) if screens is None else screens[i][0]
+        for p in rows:
+            msg = _path_violation(arc_map, strategies[p], graph.source, graph.sink, i)
             if msg:
                 report.append(msg)
     return report
@@ -258,6 +318,8 @@ def _path_violation(
     at = source
     visited = {source}
     for rid in strat:
+        if rid not in arc_map:
+            return None  # already reported as an unknown resource
         tail, head = arc_map[rid]
         if tail != at:
             return (
@@ -423,8 +485,23 @@ def path_latency(
 
 def strategy_latencies(instance: GameInstance, i: int, loads: Sequence[float]) -> list[float]:
     """Latency of every strategy of commodity i under the given loads."""
-    lat = instance.latencies(loads)
-    return [sum(lat[k] for k in ids) for ids in instance.strategy_ids[i]]
+    return _strategy_sums(instance, i, instance.latencies(loads))
+
+
+def _strategy_sums(instance: GameInstance, i: int, values: list[float]) -> list[float]:
+    """Per strategy of commodity i, the sum of the per-resource ``values``
+    over its resources, added left to right in strategy order.  The table's
+    column sums start from 0.0 and add in the same order as
+    ``sum(values[k] for k in ids)``, so both give the same doubles."""
+    ids = instance.strategy_ids[i]
+    if len(ids) < TABLE_MIN_STRATEGIES:
+        return [sum(values[k] for k in row) for row in ids]
+    table = instance.strategy_table[i]
+    padded = np.append(values, 0.0)
+    out = np.zeros(len(table))
+    for col in table.T:
+        out += padded[col]
+    return out.tolist()
 
 
 def social_cost(instance: GameInstance, flow: Flow) -> float:
@@ -494,11 +571,19 @@ class DeviationProfile:
         """Deviation of strategy p of commodity i at the given loads."""
         if self.strategy_values is not None:
             return self.strategy_values[i][p]
-        strat = instance.commodities[i].strategies[p]
-        return sum(
-            self.edge_value(instance, rid, loads[k])
-            for rid, k in zip(strat, instance.strategy_ids[i][p])
-        )
+        return self.strategy_deviations(instance, i, loads)[p]
+
+    def strategy_deviations(
+        self, instance: GameInstance, i: int, loads: Sequence[float]
+    ) -> list[float]:
+        """Deviation of every strategy of commodity i at the given loads; an
+        edge-induced one sums the per-resource deviations in strategy order."""
+        if self.strategy_values is not None:
+            return list(self.strategy_values[i])
+        per_resource = [
+            self.edge_value(instance, res.id, x) for res, x in zip(instance.resources, loads)
+        ]
+        return _strategy_sums(instance, i, per_resource)
 
     def check_membership(
         self, instance: GameInstance, flow: Flow, *, atol: float = TAU_ABS
@@ -523,13 +608,13 @@ class DeviationProfile:
         assert self.strategy_values is not None
         if len(self.strategy_values) != len(instance.commodities):
             raise InputError("explicit deviations do not match the commodity list")
-        lat = instance.latencies(flow.loads)
         for i, commodity in enumerate(instance.commodities):
             if len(self.strategy_values[i]) != len(commodity.strategies):
                 raise InputError(f"commodity {i}: deviation list does not match strategies")
+            lat = strategy_latencies(instance, i, flow.loads)
             for p, strat in enumerate(commodity.strategies):
                 dv = self.strategy_values[i][p]
-                cap = self.beta * sum(lat[k] for k in instance.strategy_ids[i][p])
+                cap = self.beta * lat[p]
                 if dv < -atol or not close_leq(dv, cap, atol=atol, rtol=rtol):
                     raise InputError(
                         f"deviation on commodity {i} strategy {list(strat)} is {dv}, "

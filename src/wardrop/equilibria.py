@@ -30,7 +30,7 @@ worst slack per class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 from math import isfinite
 
 import numpy as np
@@ -224,10 +224,7 @@ def verify_deviated_nash(
     records: list[ViolationRecord] = []
     for i, commodity in enumerate(instance.commodities):
         lat = strategy_latencies(instance, i, flow.loads)
-        dev = [
-            deviations.strategy_value(instance, i, p, flow.loads)
-            for p in range(len(commodity.strategies))
-        ]
+        dev = deviations.strategy_deviations(instance, i, flow.loads)
         for j, (_, gamma_j) in enumerate(prof.classes[i]):
             qvals = [lat[p] + gamma_j * dev[p] for p in range(len(lat))]
             used = flow.used(i, j)
@@ -429,18 +426,20 @@ def _frank_wolfe(
     bank = instance.latency_bank
     incidences: list[np.ndarray] = []
     demands = [commodity.demand for commodity in instance.commodities]
-    for strategy_ids in instance.strategy_ids:
-        inc = np.zeros((len(strategy_ids), n))
-        rows = np.repeat(np.arange(len(strategy_ids)), [len(ids) for ids in strategy_ids])
-        inc[rows, list(chain.from_iterable(strategy_ids))] = 1.0
-        incidences.append(inc)
+    for table in instance.strategy_table:
+        # one pad column catches the padding, then is dropped
+        inc = np.zeros((len(table), n + 1))
+        inc[np.arange(len(table))[:, None], table] = 1.0
+        incidences.append(np.ascontiguousarray(inc[:, :n]))
 
     flows = [np.zeros(inc.shape[0]) for inc in incidences]
+    supports: list[np.ndarray] = []  # the flow-carrying strategies, ascending
     loads = np.zeros(n)
     latv = bank(loads)
     for i, inc in enumerate(incidences):
         best = int(np.argmin(inc @ latv))
         flows[i][best] = demands[i]
+        supports.append(np.array([best]))
         loads = loads + demands[i] * inc[best]
 
     def strategy_costs() -> list[np.ndarray]:
@@ -475,7 +474,7 @@ def _frank_wolfe(
             # until a step of this pass moves the loads, progress() priced them
             c = inc @ bank(loads) if moved else costs[i]
             best = int(np.argmin(c))
-            active = np.flatnonzero(flows[i] > 0.0)
+            active = supports[i]
             worst = int(active[np.argmax(c[active])])
             if worst == best or c[worst] - c[best] <= 0.0:
                 continue
@@ -487,17 +486,18 @@ def _frank_wolfe(
                 flows[i][worst] -= t
                 if flows[i][worst] < 0.0:
                     flows[i][worst] = 0.0
+                supports[i] = np.flatnonzero(flows[i] > 0.0)
                 loads = loads + t * delta
                 moved = True
             if steps > max_iter:
-                loads = _recompute(incidences, flows, n)
+                loads = _recompute(incidences, flows, supports, n)
                 achieved, _ = progress(strategy_costs())
                 raise ConvergenceError(
                     f"potential minimization exceeded {max_iter} iterations "
                     f"(relative duality gap {achieved:.3e}, target {target_gap:.3e})",
                     achieved=achieved,
                 )
-        loads = _recompute(incidences, flows, n)
+        loads = _recompute(incidences, flows, supports, n)
         np.maximum(loads, 0.0, out=loads)
         costs = strategy_costs()
         rel, settled = progress(costs)
@@ -511,10 +511,11 @@ def _frank_wolfe(
             )
 
 
-def _recompute(incidences, flows, n) -> np.ndarray:
+def _recompute(incidences, flows, supports, n) -> np.ndarray:
+    """Loads from the flow-carrying strategies alone."""
     loads = np.zeros(n)
-    for inc, f in zip(incidences, flows):
-        loads += f @ inc
+    for inc, f, s in zip(incidences, flows, supports):
+        loads += f[s] @ inc[s]
     return loads
 
 

@@ -237,6 +237,16 @@ def test_analyze_invalid_inputs(tmp_path, capsys):
     assert "instance invalid" in stderr
 
 
+def test_analyze_rejects_unknown_path_resource(braess_files, tmp_path, capsys):
+    obj = json.loads(open(braess_files["instance"], encoding="utf-8").read())
+    obj["commodities"][0]["strategies"][0][0] = "ghost"
+    bad = tmp_path / "ghost.json"
+    bad.write_text(json.dumps(obj))
+    code, _, stderr = run(capsys, "analyze", "--instance", str(bad))
+    assert code == 2
+    assert "unknown resource 'ghost'" in stderr
+
+
 def test_analyze_rejects_non_finite_flow(braess_files, tmp_path, capsys):
     with open(braess_files["x"], encoding="utf-8") as fh:
         records = json.load(fh)
