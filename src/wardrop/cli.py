@@ -290,6 +290,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.beta is not None and not (isfinite(args.beta) and args.beta >= 0):
+        raise InputError(f"--beta must be a nonnegative finite number, got {args.beta}")
     instance, profile, deviations = read_instance(args.instance)
     problems = validate_instance(instance)
     if problems:

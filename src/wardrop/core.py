@@ -11,11 +11,12 @@ same container doubles as a per-class tolerance profile when the second
 member is read as an approximation factor instead of a sensitivity.
 
 Solvers and verifiers share one compiled view that ``GameInstance`` caches
-on first use: the read-only ``resource_index()``, ``strategy_ids`` (each
-strategy as a tuple of resource positions), ``strategy_table`` (the same
-positions as one padded integer array per commodity), ``latencies(loads)``,
-which evaluates every resource once, and ``latency_bank``, the same
-evaluation compiled for numpy load vectors.
+on first use: the read-only ``resource_index()``, ``violations`` (the
+report of ``validate_instance``), ``strategy_ids`` (each strategy as a tuple
+of resource positions), ``strategy_table`` (the same positions as one padded
+integer array per commodity), ``latencies(loads)``, which evaluates every
+resource once, and ``latency_bank``, the same evaluation compiled for numpy
+load vectors.
 
 All types are immutable; operations are pure functions of their arguments.
 """
@@ -35,10 +36,10 @@ from .errors import InputError, InvariantError, WardropError
 from .latency import DeviationFn, LatencyBank, LatencyFn
 from .tolerances import TAU_ABS, close_leq, demand_matches, tau_rel
 
-# Fewer strategies than this take the per-strategy Python loops instead of
-# ``strategy_table``: there the loops cost less than the table's fixed
-# numpy overhead (crossovers near 50 strategies to validate, 20 to sum), and
-# a short-lived CLI process touches no extra numpy code pages.
+# Commodities with fewer strategies than this take the per-strategy Python
+# sums instead of ``strategy_table``: there the loops cost less than the
+# table's fixed numpy overhead (crossover near 20 strategies), and a
+# short-lived CLI process touches no extra numpy code pages.
 TABLE_MIN_STRATEGIES = 64
 
 
@@ -82,6 +83,12 @@ class GameInstance:
     def resource_index(self) -> Mapping[str, int]:
         """Read-only map from resource id to its position in ``resources``."""
         return MappingProxyType(self._positions)
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """Every violated instance invariant, empty iff the instance is well
+        formed; ``validate_instance`` returns a list copy."""
+        return tuple(_violations(self))
 
     @cached_property
     def strategy_ids(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -199,13 +206,13 @@ class SensitivityProfile:
 def validate_instance(instance: GameInstance) -> list[str]:
     """Collect every violated instance invariant; empty list iff well formed.
 
-    On instances with at least ``TABLE_MIN_STRATEGIES`` strategies, a
-    vectorized screen of ``strategy_table`` picks the strategies that may
-    break a rule, and only those are checked one by one.  Otherwise, or when
-    resource ids repeat, a strategy names an unknown id or the graph arcs do
-    not match the resources, every strategy is checked one by one.  The
-    report is the same either way.
+    The report is computed once per instance, strategy by strategy, and
+    cached as ``GameInstance.violations``; each call returns a fresh list.
     """
+    return list(instance.violations)
+
+
+def _violations(instance: GameInstance) -> list[str]:
     report: list[str] = []
     seen: set[str] = set()
     for res in instance.resources:
@@ -220,46 +227,32 @@ def validate_instance(instance: GameInstance) -> list[str]:
             report.append(f"resource {res.id!r}: {exc}")
     if not instance.commodities:
         report.append("instance has no commodities")
-    screens = None
-    if (
-        sum(len(c.strategies) for c in instance.commodities) >= TABLE_MIN_STRATEGIES
-        and len(seen) == len(instance.resources)
-        and (instance.graph is None or _arcs_match(instance))
-    ):
-        from .screen import screen  # compiled only by the processes that screen
-
-        screens = screen(instance)
     for i, commodity in enumerate(instance.commodities):
         if not (isfinite(commodity.demand) and commodity.demand > 0):
             report.append(f"commodity {i} demand must be positive, got {commodity.demand}")
-        strategies = commodity.strategies
-        if not strategies:
+        if not commodity.strategies:
             report.append(f"commodity {i} has no strategies")
-        # unscreened: every strategy, repeats found through ``canon``
-        rows, repeated = (range(len(strategies)), None) if screens is None else screens[i]
         canon = set()
-        for p in rows:
-            strat = strategies[p]
+        for strat in commodity.strategies:
             if not strat:
                 report.append(f"commodity {i} has an empty strategy")
                 continue
-            if len(set(strat)) != len(strat):
+            unique = set(strat)
+            if len(unique) != len(strat):
                 report.append(f"commodity {i} strategy {strat} repeats a resource")
             missing = [rid for rid in strat if rid not in seen]
             if missing:
                 report.append(
                     f"commodity {i} strategy uses unknown resource {missing[0]!r}"
                 )
-            if repeated is None:
-                key = frozenset(strat)
-                twice = key in canon
-                canon.add(key)
-            else:
-                twice = p in repeated
-            if twice:
+            # a sorted tuple is the resource set's key at a fraction of a
+            # frozenset's memory
+            key = tuple(sorted(unique))
+            if key in canon:
                 report.append(f"commodity {i} lists strategy {sorted(strat)} twice")
+            canon.add(key)
     if instance.graph is not None:
-        report.extend(_graph_violations(instance, screens))
+        report.extend(_graph_violations(instance))
     return report
 
 
@@ -270,16 +263,7 @@ def require_valid_instance(instance: GameInstance) -> None:
         raise InvariantError(report[0])
 
 
-def _arcs_match(instance: GameInstance) -> bool:
-    arc_ids = [rid for rid, _, _ in instance.graph.arcs]  # type: ignore[union-attr]
-    return set(arc_ids) == {res.id for res in instance.resources} and len(arc_ids) == len(
-        set(arc_ids)
-    )
-
-
-def _graph_violations(
-    instance: GameInstance, screens: list[tuple[list[int], set[int]]] | None
-) -> list[str]:
+def _graph_violations(instance: GameInstance) -> list[str]:
     graph = instance.graph
     assert graph is not None
     report: list[str] = []
@@ -290,7 +274,10 @@ def _graph_violations(
         report.append("graph terminals must be listed nodes")
     if graph.source == graph.sink:
         report.append("graph source and sink must differ")
-    if not _arcs_match(instance):
+    arc_ids = [rid for rid, _, _ in graph.arcs]
+    if set(arc_ids) != {res.id for res in instance.resources} or len(arc_ids) != len(
+        set(arc_ids)
+    ):
         # Path checks below would chase missing arcs; stop at the mismatch.
         report.append("graph arcs must match the resource set one-to-one")
         return report
@@ -299,10 +286,8 @@ def _graph_violations(
         if tail not in node_set or head not in node_set:
             report.append(f"arc {rid!r} references an unknown node")
     for i, commodity in enumerate(instance.commodities):
-        strategies = commodity.strategies
-        rows = range(len(strategies)) if screens is None else screens[i][0]
-        for p in rows:
-            msg = _path_violation(arc_map, strategies[p], graph.source, graph.sink, i)
+        for strat in commodity.strategies:
+            msg = _path_violation(arc_map, strat, graph.source, graph.sink, i)
             if msg:
                 report.append(msg)
     return report

@@ -594,16 +594,14 @@ def heterogeneous_parallel_equilibrium(
     deviations: DeviationProfile,
     profile: SensitivityProfile,
     *,
-    damping: float = 0.5,
-    tol: float | None = None,
     max_rounds: int = DEFAULT_MAX_ITER,
 ) -> Flow:
     """Bounded-deviation equilibrium of a multi-class parallel-link game.
 
-    Damped iterated best response over classes in descending sensitivity
-    order.  Stops when every class's relative regret under deviated costs
-    drops below ``tol`` (default: the relative tolerance); the result is
-    then certified with ``verify_deviated_nash``.
+    Iterated best response over classes in descending sensitivity order,
+    each class moving halfway to its best response.  Stops when every
+    class's relative regret under deviated costs drops below the relative
+    tolerance; the result is then certified with ``verify_deviated_nash``.
     """
     require_valid_instance(instance)
     if not instance.is_parallel_link:
@@ -611,9 +609,7 @@ def heterogeneous_parallel_equilibrium(
     if not deviations.edge_induced:
         raise InputError("heterogeneous solver requires edge-induced deviations")
     profile.validate(instance)
-    tol = tau_rel() if tol is None else tol
-    if not 0.0 < damping <= 1.0:
-        raise InputError(f"damping must lie in (0, 1], got {damping}")
+    tol = tau_rel()
 
     arcs = [ids[0] for ids in instance.strategy_ids[0]]
     fns = [instance.resources[k].latency for k in arcs]
@@ -647,7 +643,7 @@ def heterogeneous_parallel_equilibrium(
             best = int(np.argmin(q))
             target = np.zeros(n)
             target[best] = dem
-            f[j] = (1.0 - damping) * f[j] + damping * target
+            f[j] = 0.5 * f[j] + 0.5 * target
             loads = f.sum(axis=0)
         rounds += 1
         worst = 0.0
@@ -760,7 +756,7 @@ def worst_approx_search(
         for (i, _, eps_j, _), row in zip(blocks, choice):
             bar = (1.0 + eps_j) * min(strat_lat[i])
             for p, v in enumerate(row):
-                if v > TAU_ABS and strat_lat[i][p] > bar + TAU_ABS:
+                if v > TAU_ABS and not close_leq(strat_lat[i][p], bar, atol=TAU_ABS):
                     ok = False
                     break
             if not ok:

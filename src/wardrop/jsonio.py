@@ -123,42 +123,45 @@ def instance_from_obj(
     if not isinstance(obj, dict):
         raise InputError("instance file must contain a JSON object")
     try:
-        resources = tuple(
-            Resource(id=str(r["id"]), latency=LatencyFn.from_obj(r["latency"]))
-            for r in obj["resources"]
-        )
-        commodities = []
-        class_rows: list[tuple[tuple[float, float], ...] | None] = []
-        for c in obj["commodities"]:
-            commodities.append(
-                Commodity(
-                    demand=float(c["demand"]),
-                    strategies=tuple(tuple(str(r) for r in s) for s in c["strategies"]),
-                )
-            )
-            if "classes" in c:
-                rows = tuple((float(k["demand"]), float(k["value"])) for k in c["classes"])
-                if not all(isfinite(d) and isfinite(v) for d, v in rows):
-                    raise InputError(
-                        f"commodity {len(class_rows)}: class demands and values must be finite"
-                    )
-                class_rows.append(rows)
-            else:
-                class_rows.append(None)
-    except (KeyError, TypeError) as exc:
+        return _instance_from_obj(obj)
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise InputError(f"malformed instance object: {exc!r}") from exc
+
+
+def _instance_from_obj(
+    obj: dict,
+) -> tuple[GameInstance, SensitivityProfile | None, DeviationProfile | None]:
+    resources = tuple(
+        Resource(id=str(r["id"]), latency=LatencyFn.from_obj(r["latency"]))
+        for r in obj["resources"]
+    )
+    commodities = []
+    class_rows: list[tuple[tuple[float, float], ...] | None] = []
+    for c in obj["commodities"]:
+        commodities.append(
+            Commodity(
+                demand=float(c["demand"]),
+                strategies=tuple(tuple(str(r) for r in s) for s in c["strategies"]),
+            )
+        )
+        if "classes" in c:
+            rows = tuple((float(k["demand"]), float(k["value"])) for k in c["classes"])
+            if not all(isfinite(d) and isfinite(v) for d, v in rows):
+                raise InputError(
+                    f"commodity {len(class_rows)}: class demands and values must be finite"
+                )
+            class_rows.append(rows)
+        else:
+            class_rows.append(None)
     graph = None
     if "graph" in obj:
         g = obj["graph"]
-        try:
-            graph = NetworkAnnotation(
-                nodes=tuple(str(n) for n in g["nodes"]),
-                arcs=tuple((str(a["id"]), str(a["tail"]), str(a["head"])) for a in g["arcs"]),
-                source=str(g["source"]),
-                sink=str(g["sink"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed graph block: {exc!r}") from exc
+        graph = NetworkAnnotation(
+            nodes=tuple(str(n) for n in g["nodes"]),
+            arcs=tuple((str(a["id"]), str(a["tail"]), str(a["head"])) for a in g["arcs"]),
+            source=str(g["source"]),
+            sink=str(g["sink"]),
+        )
     meta = obj.get("meta")
     instance = GameInstance(
         resources=resources, commodities=tuple(commodities), graph=graph, meta=meta

@@ -90,9 +90,9 @@ class UniformMatroidGame:
         )
 
 
-def matroid_nash_flow(game: UniformMatroidGame, *, rel_gap: float | None = None) -> Flow:
+def matroid_nash_flow(game: UniformMatroidGame) -> Flow:
     """Equilibrium flow over the enumerated bases (certificate-checked)."""
-    return compute_nash_flow(game.instance, rel_gap=rel_gap)
+    return compute_nash_flow(game.instance)
 
 
 def _edge_weights(
@@ -404,7 +404,7 @@ def game_from_obj(obj: dict) -> tuple[UniformMatroidGame, DeviationProfile | Non
             demand=float(obj["demand"]),
             meta=obj.get("meta"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InputError(f"malformed matroid game object: {exc}") from exc
     deviations = None
     if "edge_deviations" in obj:
@@ -416,7 +416,7 @@ def game_from_obj(obj: dict) -> tuple[UniformMatroidGame, DeviationProfile | Non
                     for rid, fn in obj["edge_deviations"].items()
                 },
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
             raise InputError(f"malformed edge deviations: {exc}") from exc
     return game, deviations
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from wardrop import ConvergenceError, cli
+from wardrop import ConvergenceError, cli, core
 from wardrop.jsonio import read_flow, read_instance
 
 
@@ -235,6 +235,15 @@ def test_analyze_invalid_inputs(tmp_path, capsys):
     code, _, stderr = run(capsys, "analyze", "--instance", str(invalid))
     assert code == 2
     assert "instance invalid" in stderr
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({
+        "schema": "congestion-instance/1",
+        "resources": [{"id": "e1", "latency": {"kind": "constant", "value": 1.0}}],
+        "commodities": [{"demand": "one", "strategies": [["e1"]]}],
+    }))
+    code, _, stderr = run(capsys, "analyze", "--instance", str(malformed))
+    assert code == 2
+    assert "malformed instance object" in stderr
 
 
 def test_analyze_rejects_unknown_path_resource(braess_files, tmp_path, capsys):
@@ -283,6 +292,27 @@ def test_analyze_rejects_incomplete_deviation(tmp_path, capsys):
     code, _, stderr = run(capsys, "analyze", "--instance", str(path))
     assert code == 2
     assert "missing field 'value'" in stderr
+
+
+def test_analyze_rejects_bad_beta(tmp_path, capsys):
+    path = str(tmp_path / "dr.json")
+    run(capsys, "gen", "two-arc-dr", "--beta", "1", "--r", "0.5,0.5",
+        "--gamma", "1,2", "--j", "2", "--out", path)
+    flow = str(tmp_path / "dr.x.json")
+    for beta in ("nan", "inf", "-1"):
+        code, _, stderr = run(capsys, "analyze", "--instance", path, "--flow", flow,
+                              f"--beta={beta}")
+        assert code == 2
+        assert "--beta must be a nonnegative finite number" in stderr
+
+
+def test_analyze_validates_instance_once(braess_files, capsys, monkeypatch):
+    calls = []
+    collect = core._violations
+    monkeypatch.setattr(core, "_violations", lambda inst: calls.append(inst) or collect(inst))
+    code, stdout, _ = run(capsys, "analyze", "--instance", braess_files["instance"])
+    assert code == 0 and json.loads(stdout)["nash"]["source"] == "solved"
+    assert len(calls) == 1
 
 
 def test_analyze_nonconvergence_exit_code(braess_files, capsys, monkeypatch):

@@ -1,8 +1,10 @@
 """Domain types and evaluation primitives: flows, costs, validation,
 profiles, deviations."""
 
+import copy
 import json
 import math
+import pickle
 import random
 import sys
 
@@ -20,6 +22,7 @@ from wardrop import (
     NetworkAnnotation,
     Resource,
     SensitivityProfile,
+    compute_nash_flow,
     gen_braess_subcritical,
     gen_two_arc_dr,
     path_latency,
@@ -27,7 +30,7 @@ from wardrop import (
     strategy_latencies,
     validate_instance,
 )
-from wardrop import tolerances
+from wardrop import core, tolerances
 from wardrop.core import require_valid_instance
 
 from corpus import (
@@ -277,6 +280,36 @@ def test_validate_instance_graph_violations():
     )
     inst2 = GameInstance(res, (Commodity(1.0, (("e1",), ("e2",))),), graph=graph2)
     assert any("sink" in msg for msg in validate_instance(inst2))
+
+
+def test_validation_report_is_computed_once(monkeypatch):
+    instance, *_ = gen_braess_subcritical(3, 0.25)
+    calls = []
+    check = core._path_violation
+    monkeypatch.setattr(core, "_path_violation", lambda *a: calls.append(a) or check(*a))
+    assert validate_instance(instance) == []
+    assert validate_instance(instance) == []
+    compute_nash_flow(instance)
+    assert len(calls) == len(instance.commodities[0].strategies)
+
+
+def test_validation_report_copies_are_independent():
+    inst = GameInstance(pigou().resources, (Commodity(-1.0, (("e1",), ("ghost",))),))
+    report = validate_instance(inst)
+    assert len(report) == 2
+    report.clear()
+    assert len(validate_instance(inst)) == 2
+
+
+def test_validation_report_survives_copy_and_pickle():
+    ghost = GameInstance(pigou().resources, (Commodity(1.0, (("e1",), ("ghost",))),))
+    for inst in (ghost, gen_braess_subcritical(3, 0.25)[0]):
+        fresh = [copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))]
+        report = validate_instance(inst)
+        cached = [copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))]
+        for other in fresh + cached:
+            assert other == inst
+            assert validate_instance(other) == report
 
 
 def test_require_valid_instance_raises():

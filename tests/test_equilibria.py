@@ -450,10 +450,6 @@ def test_heterogeneous_matches_discretized_construction():
 
 def test_heterogeneous_validation_and_nonconvergence():
     instance, profile, deviations, *_ = gen_two_arc_dr(0.5, (0.3, 0.7), (0.4, 1.0))
-    with pytest.raises(InputError):
-        heterogeneous_parallel_equilibrium(
-            instance, deviations, profile, damping=0.0
-        )
     table = DeviationProfile(0.5, strategy_values=((0.0, 0.0),))
     with pytest.raises(InputError):
         heterogeneous_parallel_equilibrium(instance, table, profile)

@@ -125,6 +125,28 @@ def test_instance_from_obj_malformed():
         instance_from_obj([1, 2, 3])
     with pytest.raises(InputError):
         instance_from_obj({"resources": [{"id": "a"}], "commodities": []})
+    instance, profile, deviations, *_ = gen_two_arc_dr(1.0, (0.5, 0.5), (1.0, 2.0), 2)
+    text = json.dumps(instance_to_obj(instance, profile, deviations))
+    assert json.loads(text)["resources"][0]["latency"]["kind"] == "constant"
+    # each edit once escaped the reader as a ValueError, IndexError,
+    # TypeError or AttributeError
+    edits = [
+        (("commodities", 0, "demand"), "one"),
+        (("commodities", 0, "classes", 0, "value"), "one"),
+        (("resources", 0, "latency", "value"), "one"),
+        (("resources", 1, "latency", "points"), [[0.0]]),
+        (("deviations", "beta"), "one"),
+        (("deviations", "edges", "a1"), {"kind": "piecewise-linear", "points": [1]}),
+        (("deviations", "edges"), [{"kind": "constant", "value": 1.0}]),
+    ]
+    for (*parents, last), value in edits:
+        obj = json.loads(text)
+        target = obj
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(InputError, match="malformed instance object"):
+            instance_from_obj(obj)
 
 
 def test_write_read_instance(tmp_path):

@@ -287,5 +287,12 @@ def test_game_from_obj_errors():
     }
     game, dev = game_from_obj(good)
     assert dev.beta == 0.0  # beta defaults when absent
+    short_point = {"kind": "piecewise-linear", "points": [[0.0]]}
+    with pytest.raises(InputError):
+        game_from_obj({**good, "ground_set": [{"id": "e0", "latency": short_point}]})
+    with pytest.raises(InputError):
+        game_from_obj({**good, "edge_deviations": {"e0": short_point}})
+    with pytest.raises(InputError):
+        game_from_obj({**good, "edge_deviations": [short_point]})
     with pytest.raises(InputError):
         game_to_obj(game, DeviationProfile(0.5, strategy_values=((0.0, 0.0),)))

@@ -1,7 +1,7 @@
 """Reference implementation of ``validate_instance``: every strategy checked
-one by one, in Python.  The library screens strategies with a vectorized
-pass first; its report must equal this one exactly.  (A path naming an
-unknown resource is skipped by both; the per-strategy check reports it.)"""
+one by one, in Python.  The library's report, cached on the instance, must
+equal this one exactly.  (A path naming an unknown resource is skipped by
+both; the per-strategy check reports it.)"""
 
 from __future__ import annotations
 
