@@ -46,6 +46,7 @@ from .bounds import (
 )
 from .core import Flow, social_cost, validate_instance
 from .equilibria import (
+    approx_factors,
     compute_nash_flow,
     empirical_ratio,
     relative_duality_gap,
@@ -297,11 +298,10 @@ def cmd_analyze(args) -> int:
     if problems:
         raise InputError("instance invalid: " + "; ".join(problems))
     report: dict = {"instance": args.instance, "valid": True}
-    rtol = tau_rel()
 
     if args.flow_ref:
         reference = read_flow(args.flow_ref, instance, profile)
-        cert = verify_approx_nash(instance, reference, 0.0, rtol=rtol)
+        cert = verify_approx_nash(instance, reference, 0.0)
         if not cert.passed:
             raise InputError(
                 f"--flow-ref {args.flow_ref} is not an equilibrium "
@@ -330,7 +330,7 @@ def cmd_analyze(args) -> int:
             cert = verify_approx_nash(instance, flow, args.eps)
             entry["approx"] = {"eps": args.eps, **cert.to_obj()}
         if args.beta is not None and profile is not None:
-            cert = verify_approx_nash(instance, flow, profile.scaled(args.beta))
+            cert = verify_approx_nash(instance, flow, approx_factors(profile, args.beta))
             entry["approx_classes"] = {"beta": args.beta, **cert.to_obj()}
         if deviations is not None:
             cert = verify_deviated_nash(instance, flow, deviations, profile)
@@ -349,7 +349,7 @@ def cmd_analyze(args) -> int:
                     alt_entry["ratio_within_bound"] = True
                 else:
                     alt_entry["ratio_within_bound"] = close_leq(
-                        ratio.ratio, upper.as_float, rtol=rtol
+                        ratio.ratio, upper.as_float, rtol=tau_rel()
                     )
             report["alternating"] = alt_entry
 

@@ -12,11 +12,13 @@ on piecewise-linear latencies, Illinois regula falsi otherwise).  Latencies
 come from the instance's compiled ``latency_bank``, one vector per step.
 Termination is by relative duality gap.
 
-``heterogeneous_parallel_equilibrium`` computes equilibria under bounded
-deviations for populations with several sensitivity classes on parallel
-links, by damped iterated best response in descending sensitivity order.
-The returned flow must pass ``verify_deviated_nash``; that verification is
-the correctness contract, not the iteration count.
+``heterogeneous_parallel_equilibrium`` handles several sensitivity classes
+under edge-induced deviations by diagonalization (Florian and Spiess, 1982):
+with deviations frozen at given loads each class is a commodity of a potential
+game, paying gamma_j * delta_e on a private constant resource beside each e.
+The frozen loads move toward each solution's by a step that starts at 1 and
+halves whenever the worst slack does not shrink, until a solution passes
+``verify_deviated_nash``.
 
 Verifiers
 ---------
@@ -37,15 +39,18 @@ import numpy as np
 
 from .bounds import BoundValue
 from .core import (
+    Commodity,
     DeviationProfile,
     Flow,
     GameInstance,
+    Resource,
     SensitivityProfile,
     social_cost,
     strategy_latencies,
     require_valid_instance,
 )
 from .errors import ConvergenceError, InputError, InvariantError, RefusalError
+from .latency import LatencyFn
 from .tolerances import TAU_ABS, close_leq, demand_matches, tau_rel
 
 SEARCH_VARIABLE_CAP = 8
@@ -124,9 +129,10 @@ class RatioReport:
 
 
 def _resolve_profile(
-    instance: GameInstance, flow: Flow, profile: SensitivityProfile | float | None
+    instance: GameInstance, flow: Flow, profile: SensitivityProfile | float | None, tau: float
 ) -> SensitivityProfile:
-    """Coerce a profile argument into classes matching the flow's shape."""
+    """Coerce a profile argument into classes matching the flow's shape;
+    class demands match within the relative tolerance ``tau``."""
     if profile is None or isinstance(profile, (int, float)):
         value = 0.0 if profile is None else float(profile)
         if value < 0 or not isfinite(value):
@@ -138,7 +144,6 @@ def _resolve_profile(
             )
         )
     profile.validate(instance)
-    rtol = tau_rel()
     for i in range(len(instance.commodities)):
         if len(profile.classes[i]) != len(flow.class_demands[i]):
             raise InputError(
@@ -146,7 +151,7 @@ def _resolve_profile(
                 f"flow has {len(flow.class_demands[i])}"
             )
         for j, (dem, _) in enumerate(profile.classes[i]):
-            if not demand_matches(flow.class_demands[i][j], dem, rtol):
+            if not demand_matches(flow.class_demands[i][j], dem, tau):
                 raise InputError(
                     f"commodity {i} class {j}: profile demand {dem} does not match "
                     f"flow class demand {flow.class_demands[i][j]}"
@@ -176,16 +181,18 @@ def verify_approx_nash(
     flow: Flow,
     eps: SensitivityProfile | float,
     *,
-    atol: float | None = None,
-    rtol: float = 0.0,
+    atol: float = TAU_ABS,
+    rtol: float | None = None,
 ) -> EquilibriumCertificate:
     """Check l_P(f) <= (1 + eps_ij) * l_P'(f) for every used P and every P'.
 
     ``eps`` is either a single factor shared by all classes or a profile
-    whose values are read as per-class approximation factors.
+    whose values are read as per-class approximation factors.  ``rtol``
+    defaults to ``tau_rel()``.
     """
-    atol = TAU_ABS if atol is None else atol
-    profile = _resolve_profile(instance, flow, eps)
+    tau = tau_rel()
+    rtol = tau if rtol is None else rtol
+    profile = _resolve_profile(instance, flow, eps, tau)
     records: list[ViolationRecord] = []
     for i, commodity in enumerate(instance.commodities):
         lat = strategy_latencies(instance, i, flow.loads)
@@ -207,19 +214,20 @@ def verify_deviated_nash(
     deviations: DeviationProfile,
     profile: SensitivityProfile | float | None = None,
     *,
-    atol: float | None = None,
-    rtol: float = 0.0,
+    atol: float = TAU_ABS,
+    rtol: float | None = None,
 ) -> EquilibriumCertificate:
     """Check the bounded-deviation equilibrium condition per class:
     used strategies minimize l_P(f) + gamma_ij * delta_P(f).
 
     Deviations must lie in the bounded set at this flow (InputError if not).
-    ``profile`` defaults to homogeneous sensitivity 1.
+    ``profile`` defaults to homogeneous sensitivity 1, ``rtol`` to ``tau_rel()``.
     """
-    atol = TAU_ABS if atol is None else atol
+    tau = tau_rel()
+    rtol = tau if rtol is None else rtol
     if profile is None:
         profile = 1.0
-    prof = _resolve_profile(instance, flow, profile)
+    prof = _resolve_profile(instance, flow, profile, tau)
     deviations.check_membership(instance, flow, atol=atol)
     records: list[ViolationRecord] = []
     for i, commodity in enumerate(instance.commodities):
@@ -253,7 +261,7 @@ def deviations_from_approx(
         raise InputError(f"eps must be nonnegative, got {eps}")
     if not (isfinite(gamma) and gamma > 0):
         raise InputError(f"gamma must be positive, got {gamma}")
-    cert = verify_approx_nash(instance, flow, eps, atol=TAU_ABS, rtol=tau_rel())
+    cert = verify_approx_nash(instance, flow, eps)
     if not cert.passed:
         raise InputError(
             f"flow is not {eps}-approximate (worst slack {cert.worst_slack})"
@@ -277,16 +285,16 @@ def verify_deviation_implies_approx(
     deviations: DeviationProfile,
     profile: SensitivityProfile | float | None = None,
     *,
-    atol: float | None = None,
-    rtol: float = 0.0,
+    atol: float = TAU_ABS,
+    rtol: float | None = None,
 ) -> EquilibriumCertificate:
     """Re-verify a deviated equilibrium as approximate with eps = beta*gamma.
 
     Requires the flow to pass ``verify_deviated_nash`` first; the returned
     approximate certificate then holds by inclusion of the deviation model
-    in the approximation model.
+    in the approximation model.  ``rtol`` defaults to ``tau_rel()``.
     """
-    atol = TAU_ABS if atol is None else atol
+    rtol = tau_rel() if rtol is None else rtol
     cert = verify_deviated_nash(
         instance, flow, deviations, profile, atol=atol, rtol=rtol
     )
@@ -294,15 +302,19 @@ def verify_deviation_implies_approx(
         raise InputError(
             f"flow is not a bounded-deviation equilibrium (worst slack {cert.worst_slack})"
         )
-    if profile is None or isinstance(profile, (int, float)):
-        gamma = 1.0 if profile is None else float(profile)
-        eps_profile: SensitivityProfile | float = deviations.beta * gamma
-    elif deviations.beta == 0.0:
-        # scaling a profile by zero would tie all class values
-        eps_profile = 0.0
-    else:
-        eps_profile = profile.scaled(deviations.beta)
-    return verify_approx_nash(instance, flow, eps_profile, atol=atol, rtol=rtol)
+    eps = approx_factors(1.0 if profile is None else profile, deviations.beta)
+    return verify_approx_nash(instance, flow, eps, atol=atol, rtol=rtol)
+
+
+def approx_factors(
+    profile: SensitivityProfile | float, beta: float
+) -> SensitivityProfile | float:
+    """Per-class approximation factors beta * gamma_ij of sensitivities
+    ``profile``: a scalar stays a scalar, and beta = 0 gives the scalar 0
+    (scaling a profile by zero would tie its class values)."""
+    if isinstance(profile, SensitivityProfile):
+        return 0.0 if beta == 0.0 else profile.scaled(beta)
+    return beta * float(profile)
 
 
 # -- exact parallel-link solver -------------------------------------------
@@ -417,10 +429,14 @@ def _line_search(fns, loads: np.ndarray, delta: np.ndarray, tmax: float) -> floa
 
 
 def _frank_wolfe(
-    instance: GameInstance, target_gap: float, max_iter: int, rtol: float
+    instance: GameInstance, target_gap: float, max_iter: int, rtol: float,
+    start: list[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], float]:
     """Minimize the routing potential; returns per-commodity strategy flows
-    and the achieved relative duality gap."""
+    and the achieved relative duality gap.
+
+    Starts from the feasible strategy flows ``start`` when given, otherwise
+    from the all-or-nothing assignment at zero load."""
     n = len(instance.resources)
     fns = [res.latency for res in instance.resources]
     bank = instance.latency_bank
@@ -432,15 +448,21 @@ def _frank_wolfe(
         inc[np.arange(len(table))[:, None], table] = 1.0
         incidences.append(np.ascontiguousarray(inc[:, :n]))
 
-    flows = [np.zeros(inc.shape[0]) for inc in incidences]
     supports: list[np.ndarray] = []  # the flow-carrying strategies, ascending
-    loads = np.zeros(n)
-    latv = bank(loads)
-    for i, inc in enumerate(incidences):
-        best = int(np.argmin(inc @ latv))
-        flows[i][best] = demands[i]
-        supports.append(np.array([best]))
-        loads = loads + demands[i] * inc[best]
+    if start is None:
+        flows = [np.zeros(inc.shape[0]) for inc in incidences]
+        loads = np.zeros(n)
+        latv = bank(loads)
+        for i, inc in enumerate(incidences):
+            best = int(np.argmin(inc @ latv))
+            flows[i][best] = demands[i]
+            supports.append(np.array([best]))
+            loads = loads + demands[i] * inc[best]
+    else:
+        flows = [np.array(f, dtype=float) for f in start]
+        # a zero-demand commodity keeps one (empty) strategy in its support
+        supports = [np.flatnonzero(f > 0.0) if f.any() else np.zeros(1, np.intp) for f in flows]
+        loads = _recompute(incidences, flows, supports, n)
 
     def strategy_costs() -> list[np.ndarray]:
         latv = bank(loads)
@@ -577,7 +599,7 @@ def compute_nash_flow(
         flow = Flow.single_class(instance, per_commodity)
     else:
         flow = Flow.spread_classes(instance, per_commodity, profile)
-    cert = verify_approx_nash(instance, flow, 0.0, atol=TAU_ABS, rtol=rtol)
+    cert = verify_approx_nash(instance, flow, 0.0, rtol=rtol)
     if not cert.passed:
         raise ConvergenceError(
             f"solver output fails the equilibrium check (worst slack {cert.worst_slack})",
@@ -586,7 +608,7 @@ def compute_nash_flow(
     return flow
 
 
-# -- deviated equilibria on parallel links ---------------------------------
+# -- deviated equilibria by diagonalization ----------------------------------
 
 
 def heterogeneous_parallel_equilibrium(
@@ -596,85 +618,62 @@ def heterogeneous_parallel_equilibrium(
     *,
     max_rounds: int = DEFAULT_MAX_ITER,
 ) -> Flow:
-    """Bounded-deviation equilibrium of a multi-class parallel-link game.
-
-    Iterated best response over classes in descending sensitivity order,
-    each class moving halfway to its best response.  Stops when every
-    class's relative regret under deviated costs drops below the relative
-    tolerance; the result is then certified with ``verify_deviated_nash``.
+    """Multi-class equilibrium under edge-induced deviations, by
+    diagonalization (module docstring).  Each round solves to the margin
+    tol = max(tau_rel, min(1e-3, |last worst slack| / 10)) and the gap tol / 100,
+    but only a flow that passes ``verify_deviated_nash`` at tau_rel is returned;
+    after ``max_rounds`` rounds ``ConvergenceError`` carries the last worst slack.
     """
-    require_valid_instance(instance)
-    if not instance.is_parallel_link:
-        raise InputError("heterogeneous solver requires a parallel-link instance")
     if not deviations.edge_induced:
         raise InputError("heterogeneous solver requires edge-induced deviations")
+    if max_rounds < 1:
+        raise InputError(f"max_rounds must be at least 1, got {max_rounds}")
     profile.validate(instance)
-    tol = tau_rel()
+    rtol = tau_rel()
+    # the plain equilibrium split pro rata
+    flow = compute_nash_flow(instance, profile, method="potential")
+    # Class j of commodity i crosses a private resource beside each resource
+    # with a deviation function, even where delta_e is 0, so the strategies
+    # stay fixed across rounds; tuple ids equal no resource id.
+    private: list[tuple[float, int]] = []  # (gamma_j, resource position)
+    commodities = []
+    for i, commodity in enumerate(instance.commodities):
+        for demand, gamma in profile.classes[i]:
+            beside = {}
+            for k, res in enumerate(instance.resources):
+                if gamma > 0.0 and res.id in deviations.edge_fns:
+                    beside[res.id] = ("deviation", len(private))
+                    private.append((gamma, k))
+            commodities.append(Commodity(demand, tuple(
+                strat + tuple(beside[rid] for rid in strat if rid in beside)
+                for strat in commodity.strategies
+            )))
 
-    arcs = [ids[0] for ids in instance.strategy_ids[0]]
-    fns = [instance.resources[k].latency for k in arcs]
-    rids = [instance.resources[k].id for k in arcs]
-    classes = list(profile.classes[0])
-    order = sorted(range(len(classes)), key=lambda j: -classes[j][1])
-    n = len(arcs)
-
-    f = np.zeros((len(classes), n))
-
-    def costs(loads: np.ndarray, gamma: float) -> np.ndarray:
-        return np.array(
-            [
-                fns[p](loads[p]) + gamma * deviations.edge_value(instance, rids[p], loads[p])
-                for p in range(n)
-            ]
-        )
-
-    loads = np.zeros(n)
-    for j in order:
-        dem, gamma = classes[j]
-        best = int(np.argmin(costs(loads, gamma)))
-        f[j, best] = dem
-        loads = f.sum(axis=0)
-
-    rounds = 0
-    while True:
-        for j in order:
-            dem, gamma = classes[j]
-            q = costs(loads, gamma)
-            best = int(np.argmin(q))
-            target = np.zeros(n)
-            target[best] = dem
-            f[j] = 0.5 * f[j] + 0.5 * target
-            loads = f.sum(axis=0)
-        rounds += 1
-        worst = 0.0
-        for j in order:
-            dem, gamma = classes[j]
-            if dem <= 0.0:
-                continue
-            q = costs(loads, gamma)
-            used = f[j] > max(TAU_ABS, 1e-15 * dem)
-            regret = float(np.max(q[used])) - float(np.min(q))
-            worst = max(worst, regret / max(TAU_ABS, float(np.min(q))))
-        if worst <= tol:
-            break
-        if rounds >= max_rounds:
-            raise ConvergenceError(
-                f"best-response iteration did not meet regret {tol:.3e} in "
-                f"{max_rounds} rounds (achieved {worst:.3e})",
-                achieved=worst,
-            )
-
-    values = [[list(map(float, f[j])) for j in range(len(classes))]]
-    flow = Flow.build(instance, values, profile)
-    cert = verify_deviated_nash(
-        instance, flow, deviations, profile, atol=TAU_ABS, rtol=tol
+    flows = [np.array(row) for rows in flow.values for row in rows]
+    frozen = np.array(flow.loads)
+    slack, step = 0.0, 1.0
+    for _ in range(max_rounds):
+        delta = [deviations.edge_value(instance, res.id, x)
+                 for res, x in zip(instance.resources, frozen.tolist())]
+        game = GameInstance(instance.resources + tuple(
+            Resource(("deviation", m), LatencyFn.constant(gamma * delta[k]))
+            for m, (gamma, k) in enumerate(private)
+        ), tuple(commodities))
+        tol = max(rtol, min(1e-3, abs(slack) / 10))
+        flows, _ = _frank_wolfe(game, 1e-2 * tol, DEFAULT_MAX_ITER, tol, start=flows)
+        rows = iter(list(map(float, f)) for f in flows)
+        flow = Flow.build(instance, [[next(rows) for _ in c] for c in profile.classes], profile)
+        cert = verify_deviated_nash(instance, flow, deviations, profile, rtol=rtol)
+        if cert.passed:
+            return flow
+        if abs(cert.worst_slack) >= abs(slack) > 0.0:
+            step *= 0.5
+        slack = cert.worst_slack
+        frozen += step * (np.array(flow.loads) - frozen)
+    raise ConvergenceError(
+        f"no certified deviated equilibrium in {max_rounds} rounds (worst slack {slack:.3e})",
+        achieved=slack,
     )
-    if not cert.passed:
-        raise ConvergenceError(
-            f"best-response fixed point fails verification (worst slack {cert.worst_slack})",
-            achieved=cert.worst_slack,
-        )
-    return flow
 
 
 # -- exhaustive search and ratios ------------------------------------------

@@ -116,8 +116,8 @@ def verify_matroid_deviated(
     *,
     method: str = "swap",
     cross_check: bool = False,
-    atol: float | None = None,
-    rtol: float = 0.0,
+    atol: float = TAU_ABS,
+    rtol: float | None = None,
 ) -> EquilibriumCertificate:
     """Check that used bases minimize latency plus gamma-weighted deviation.
 
@@ -125,7 +125,7 @@ def verify_matroid_deviated(
     exchanges; by the exchange property of matroids this is equivalent to
     comparing against every basis (``method="full"``), which ``cross_check``
     re-runs as an oracle.  ``deviations=None`` checks the plain equilibrium
-    condition.
+    condition.  ``rtol`` defaults to ``tau_rel()``.
     """
     if method not in ("swap", "full"):
         raise InputError(f"method must be 'swap' or 'full', got {method!r}")
@@ -138,7 +138,7 @@ def verify_matroid_deviated(
             "matroid deviations must be edge-induced (per-strategy tables do "
             "not define single-swap costs)"
         )
-    atol = TAU_ABS if atol is None else atol
+    rtol = tau_rel() if rtol is None else rtol
     if method == "full":
         if deviations is None:
             cert = verify_approx_nash(game.instance, flow, 0.0, atol=atol, rtol=rtol)
@@ -313,7 +313,7 @@ def check_matroid_exchange_claims(
     z: Flow,
     beta: float,
     *,
-    atol: float | None = None,
+    atol: float = TAU_ABS,
     rtol: float | None = None,
 ) -> ExchangeClaimsReport:
     """Evaluate the exchange inequalities comparing a bounded-deviation
@@ -326,7 +326,6 @@ def check_matroid_exchange_claims(
         raise InputError(f"beta must be a nonnegative float, got {beta}")
     if x.instance is not game.instance or z.instance is not game.instance:
         raise InputError("flows were built for a different instance than this game")
-    atol = TAU_ABS if atol is None else atol
     rtol = tau_rel() if rtol is None else rtol
     per_resource: list[ClaimRecord] = []
     over_sum = 0.0

@@ -91,6 +91,23 @@ def grid_instance(rng: random.Random, k: int, family: str = "mixed") -> GameInst
     return GameInstance(tuple(resources), (Commodity(1.0, paths),), graph=graph)
 
 
+def random_multicommodity_instance(rng: random.Random) -> GameInstance:
+    """Two or three commodities whose strategies are random sets of one to
+    three resources from a shared pool (no graph annotation)."""
+    resources = tuple(
+        Resource(f"e{i}", random_latency(rng)) for i in range(rng.randint(3, 6))
+    )
+    ids = [res.id for res in resources]
+    commodities = []
+    for _ in range(rng.randint(2, 3)):
+        strategies = {
+            tuple(sorted(rng.sample(ids, rng.randint(1, 3))))
+            for _ in range(rng.randint(2, 4))
+        }
+        commodities.append(Commodity(rng.uniform(0.5, 2.0), tuple(sorted(strategies))))
+    return GameInstance(resources, tuple(commodities))
+
+
 def random_profile(
     rng: random.Random, instance: GameInstance, max_classes: int = 3
 ) -> SensitivityProfile:

@@ -306,6 +306,20 @@ def test_analyze_rejects_bad_beta(tmp_path, capsys):
         assert "--beta must be a nonnegative finite number" in stderr
 
 
+def test_analyze_beta_zero_with_classes(tmp_path, capsys):
+    path = str(tmp_path / "dr.json")
+    run(capsys, "gen", "two-arc-dr", "--beta", "0.5", "--r", "0.5,0.5",
+        "--gamma", "1,2", "--out", path)
+    code, stdout, _ = run(capsys, "analyze", "--instance", path,
+                          "--flow", str(tmp_path / "dr.x.json"), "--beta", "0")
+    assert code == 0
+    report = json.loads(stdout)
+    # beta = 0 checks every class at eps = 0, which the tight flow fails
+    assert report["flow"]["approx_classes"]["beta"] == 0.0
+    assert report["flow"]["approx_classes"]["pass"] is False
+    assert report["flow"]["deviated"]["pass"] is True
+
+
 def test_analyze_validates_instance_once(braess_files, capsys, monkeypatch):
     calls = []
     collect = core._violations

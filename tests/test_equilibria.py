@@ -46,6 +46,7 @@ from corpus import (
     measured_eps,
     random_feasible_flow,
     random_latency,
+    random_deviations,
     random_parallel_instance,
     random_profile,
 )
@@ -453,22 +454,24 @@ def test_heterogeneous_validation_and_nonconvergence():
     table = DeviationProfile(0.5, strategy_values=((0.0, 0.0),))
     with pytest.raises(InputError):
         heterogeneous_parallel_equilibrium(instance, table, profile)
-    series, *_ = gen_braess_subcritical(2, 0.5)
-    dev0 = DeviationProfile(0.5, edge_fns={})
     with pytest.raises(InputError):
-        heterogeneous_parallel_equilibrium(
-            series, dev0, SensitivityProfile.homogeneous(series)
-        )
-    # interior-split equilibrium: fixed-damping best response oscillates
-    inst = GameInstance(
-        (Resource("e0", LatencyFn.affine(0.3, 1.0)), Resource("e1", LatencyFn.affine(0.7, 1.3))),
-        (Commodity(1.0, (("e0",), ("e1",))),),
+        heterogeneous_parallel_equilibrium(instance, deviations, profile, max_rounds=0)
+    # a Braess ladder is no parallel-link instance, and is solved all the same
+    ladder, *_ = gen_braess_subcritical(2, 0.5)
+    scaled = DeviationProfile(
+        0.5, edge_fns={res.id: DeviationFn.scaled(0.4) for res in ladder.resources}
     )
+    classes = SensitivityProfile.single_commodity((0.4, 0.6), (0.5, 1.2))
+    flow = heterogeneous_parallel_equilibrium(ladder, scaled, classes)
+    assert verify_deviated_nash(ladder, flow, scaled, classes).passed
+    # load-dependent deviations need more than the one round allowed
+    rng = random.Random(9)
+    inst = random_parallel_instance(rng)
+    classes = random_profile(rng, inst, max_classes=4)
+    dev = random_deviations(rng, inst, rng.uniform(0.2, 1.0))
     with pytest.raises(ConvergenceError) as err:
-        heterogeneous_parallel_equilibrium(
-            inst, dev0, SensitivityProfile.homogeneous(inst), max_rounds=60
-        )
-    assert err.value.achieved is not None and err.value.achieved > 0.0
+        heterogeneous_parallel_equilibrium(inst, dev, classes, max_rounds=1)
+    assert err.value.achieved is not None and err.value.achieved < 0.0
 
 
 # -- worst-case grid search ----------------------------------------------------------------

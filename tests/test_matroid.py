@@ -1,5 +1,6 @@
 """Uniform-matroid games: verification, tight family, exchange claims."""
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -31,7 +32,7 @@ from wardrop.matroid import (
     write_game,
 )
 
-from corpus import matroid_corpus
+from corpus import matroid_corpus, random_latency
 
 
 def small_game(rank=2) -> UniformMatroidGame:
@@ -296,3 +297,15 @@ def test_game_from_obj_errors():
         game_from_obj({**good, "edge_deviations": [short_point]})
     with pytest.raises(InputError):
         game_to_obj(game, DeviationProfile(0.5, strategy_values=((0.0, 0.0),)))
+
+
+def test_solver_output_passes_the_default_tolerance():
+    # C(14, 6) = 3003 bases; the worst slack is about -1e-10, inside tau_rel
+    rng = random.Random(3)
+    game = UniformMatroidGame(
+        tuple(Resource(f"e{k}", random_latency(rng)) for k in range(14)), rank=6
+    )
+    flow = matroid_nash_flow(game)
+    assert verify_approx_nash(game.instance, flow, 0.0).passed
+    assert verify_matroid_deviated(game, flow).passed
+    assert verify_matroid_deviated(game, flow, method="full").passed
