@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .core import SensitivityProfile
 from .errors import InputError
-from .tolerances import TAU_ABS
+from .tolerances import TAU_ABS, demand_matches, tau_rel
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def _check_classes(demands: Sequence[float], gammas: Sequence[float]) -> tuple[l
     if total <= 0:
         raise InputError("total demand must be positive")
     note = None
-    if abs(total - 1.0) > 1e-9:
+    if not demand_matches(total, 1.0, tau_rel()):
         note = f"demands normalized by factor {1.0 / total!r}"
     return [d / total for d in demands], note
 
@@ -130,6 +130,8 @@ class DensityFn:
         pts = tuple((float(y), float(v)) for y, v in points)
         if len(pts) < 2:
             raise InputError("density needs at least two breakpoints")
+        if not all(isfinite(y) and isfinite(v) for y, v in pts):
+            raise InputError(f"density breakpoints must be finite, got {pts}")
         ys = [y for y, _ in pts]
         if ys[0] < 0:
             raise InputError(f"density support must lie in y >= 0, starts at {ys[0]}")
@@ -139,7 +141,7 @@ class DensityFn:
             raise InputError("density values must be nonnegative")
         fn = cls(pts)
         total = fn.mass(ys[0], ys[-1])
-        if abs(total - 1.0) > 1e-9:
+        if not demand_matches(total, 1.0, tau_rel()):
             raise InputError(f"density must integrate to 1, integrates to {total}")
         return fn
 

@@ -106,12 +106,12 @@ def _parse_density(text: str) -> DensityFn:
             "'triangular:0,0.5,1' or 'points:0,1;1,1'"
         )
     kind, _, body = text.partition(":")
-    if kind == "uniform":
-        lo, hi = _parse_floats(body)
-        return DensityFn.uniform(lo, hi)
-    if kind == "triangular":
-        lo, peak, hi = _parse_floats(body)
-        return DensityFn.triangular(lo, peak, hi)
+    arity = {"uniform": 2, "triangular": 3}.get(kind)
+    if arity is not None:
+        values = _parse_floats(body)
+        if len(values) != arity:
+            raise InputError(f"{kind} density takes {arity} numbers, got {body!r}")
+        return DensityFn.uniform(*values) if kind == "uniform" else DensityFn.triangular(*values)
     if kind == "points":
         points = []
         for chunk in body.split(";"):
@@ -449,11 +449,16 @@ class SweepSpec:
         params = obj.get("params")
         if not isinstance(params, dict) or not params:
             raise InputError("sweep spec needs a nonempty 'params' object")
-        outputs = tuple(obj.get("outputs", METRICS))
+        outputs = obj.get("outputs", list(METRICS))
+        if not isinstance(outputs, list):
+            raise InputError(f"sweep spec 'outputs' must be a list of metrics, got {outputs!r}")
         bad = [o for o in outputs if o not in METRICS]
         if bad:
             raise InputError(f"unknown outputs {bad}; choose from {list(METRICS)}")
-        return cls(family=family, params=params, outputs=outputs, out=obj.get("out"))
+        out = obj.get("out")
+        if out is not None and not isinstance(out, str):
+            raise InputError(f"sweep spec 'out' must be a path string, got {out!r}")
+        return cls(family=family, params=params, outputs=tuple(outputs), out=out)
 
     def combos(self) -> tuple[tuple[str, ...], list[dict]]:
         """Sorted parameter keys and all value combinations, lexicographic."""
@@ -485,6 +490,8 @@ def _progression(key: str, obj: dict) -> list:
     start, stop, step = (obj[k] for k in ("start", "stop", "step"))
     if not all(type(v) is int for v in (start, stop, step)):
         start, stop, step = (_as_float(key, v) for v in (start, stop, step))
+        if not all(isfinite(v) for v in (start, stop, step)):
+            raise InputError(f"parameter {key}: range bounds must be finite, got {obj}")
     if step <= 0 or stop < start:
         raise InputError(f"parameter {key}: need step > 0 and stop >= start")
     values = []
@@ -529,6 +536,8 @@ def _measure(family: str, bundle: dict, outputs: tuple[str, ...]) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -668,6 +677,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except OSError as exc:
+        # the readers raise InputError, so what is left is an output path
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return InputError.exit_code
     except WardropError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)

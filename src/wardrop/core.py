@@ -144,10 +144,6 @@ class SensitivityProfile:
     classes: tuple[tuple[tuple[float, float], ...], ...]
 
     @classmethod
-    def homogeneous(cls, instance: GameInstance, value: float = 1.0) -> "SensitivityProfile":
-        return cls(tuple(((c.demand, float(value)),) for c in instance.commodities))
-
-    @classmethod
     def single_commodity(
         cls, demands: Sequence[float], values: Sequence[float]
     ) -> "SensitivityProfile":
@@ -185,9 +181,6 @@ class SensitivityProfile:
                 raise InvariantError(
                     f"commodity {i} class demands sum to {total}, expected {commodity.demand}"
                 )
-
-    def n_classes(self, i: int) -> int:
-        return len(self.classes[i])
 
     def scaled(self, factor: float) -> "SensitivityProfile":
         """Same classes with every value multiplied by ``factor``."""
@@ -423,8 +416,9 @@ class Flow:
         """Re-derive total loads with the construction-time summation order."""
         return _edge_loads(self.instance, self.values)
 
-    def used(self, i: int, j: int, threshold: float = TAU_ABS) -> list[int]:
-        return [p for p, v in enumerate(self.values[i][j]) if v > threshold]
+    def used(self, i: int, j: int) -> list[int]:
+        """Strategies on which class j of commodity i routes more than TAU_ABS."""
+        return [p for p, v in enumerate(self.values[i][j]) if v > TAU_ABS]
 
 
 def _edge_loads(
@@ -445,20 +439,6 @@ def _edge_loads(
         for k in range(n):
             totals[k] += loads_i[k]
     return tuple(totals)
-
-
-def path_latency(
-    instance: GameInstance, strategy: Sequence[str], loads: Sequence[float]
-) -> float:
-    """Latency of a strategy under the given per-resource loads."""
-    index = instance.resource_index()
-    total = 0.0
-    for rid in strategy:
-        k = index.get(rid)
-        if k is None:
-            raise InputError(f"unknown resource id {rid!r}")
-        total += instance.resources[k].latency(loads[k])
-    return total
 
 
 def strategy_latencies(instance: GameInstance, i: int, loads: Sequence[float]) -> list[float]:
@@ -543,14 +523,6 @@ class DeviationProfile:
             return 0.0
         return fn(load, instance.latency_of(rid))
 
-    def strategy_value(
-        self, instance: GameInstance, i: int, p: int, loads: Sequence[float]
-    ) -> float:
-        """Deviation of strategy p of commodity i at the given loads."""
-        if self.strategy_values is not None:
-            return self.strategy_values[i][p]
-        return self.strategy_deviations(instance, i, loads)[p]
-
     def strategy_deviations(
         self, instance: GameInstance, i: int, loads: Sequence[float]
     ) -> list[float]:
@@ -563,9 +535,7 @@ class DeviationProfile:
         ]
         return _strategy_sums(instance, i, per_resource)
 
-    def check_membership(
-        self, instance: GameInstance, flow: Flow, *, atol: float = TAU_ABS
-    ) -> None:
+    def check_membership(self, instance: GameInstance, flow: Flow) -> None:
         """Raise InputError when some deviation leaves [0, beta * latency]."""
         rtol = tau_rel()
         if self.edge_fns is not None:
@@ -577,7 +547,7 @@ class DeviationProfile:
                 load = flow.loads[k]
                 dv = self.edge_fns[rid](load, instance.resources[k].latency)
                 cap = self.beta * instance.resources[k].latency(load)
-                if dv < -atol or not close_leq(dv, cap, atol=atol, rtol=rtol):
+                if dv < -TAU_ABS or not close_leq(dv, cap, rtol=rtol):
                     raise InputError(
                         f"deviation on resource {rid!r} is {dv} at load {load}, "
                         f"outside [0, {cap}]"
@@ -593,7 +563,7 @@ class DeviationProfile:
             for p, strat in enumerate(commodity.strategies):
                 dv = self.strategy_values[i][p]
                 cap = self.beta * lat[p]
-                if dv < -atol or not close_leq(dv, cap, atol=atol, rtol=rtol):
+                if dv < -TAU_ABS or not close_leq(dv, cap, rtol=rtol):
                     raise InputError(
                         f"deviation on commodity {i} strategy {list(strat)} is {dv}, "
                         f"outside [0, {cap}]"

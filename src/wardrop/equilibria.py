@@ -86,16 +86,13 @@ class EquilibriumCertificate:
     kind: str
     records: tuple[ViolationRecord, ...]
     passed: bool
-    atol: float
     rtol: float
 
     @classmethod
-    def from_records(
-        cls, kind: str, records, atol: float, rtol: float
-    ) -> "EquilibriumCertificate":
+    def from_records(cls, kind: str, records, rtol: float) -> "EquilibriumCertificate":
         """Certificate that passes when every record has lhs <= rhs within tolerance."""
-        passed = all(close_leq(rec.lhs, rec.rhs, atol=atol, rtol=rtol) for rec in records)
-        return cls(kind, tuple(records), passed, atol, rtol)
+        passed = all(close_leq(rec.lhs, rec.rhs, rtol=rtol) for rec in records)
+        return cls(kind, tuple(records), passed, rtol)
 
     @property
     def worst_slack(self) -> float:
@@ -181,7 +178,6 @@ def verify_approx_nash(
     flow: Flow,
     eps: SensitivityProfile | float,
     *,
-    atol: float = TAU_ABS,
     rtol: float | None = None,
 ) -> EquilibriumCertificate:
     """Check l_P(f) <= (1 + eps_ij) * l_P'(f) for every used P and every P'.
@@ -205,7 +201,7 @@ def verify_approx_nash(
                 records.append(
                     _worst_used(i, j, commodity.strategies, lat, used, witness_p, rhs)
                 )
-    return EquilibriumCertificate.from_records("approx-nash", records, atol, rtol)
+    return EquilibriumCertificate.from_records("approx-nash", records, rtol)
 
 
 def verify_deviated_nash(
@@ -214,7 +210,6 @@ def verify_deviated_nash(
     deviations: DeviationProfile,
     profile: SensitivityProfile | float | None = None,
     *,
-    atol: float = TAU_ABS,
     rtol: float | None = None,
 ) -> EquilibriumCertificate:
     """Check the bounded-deviation equilibrium condition per class:
@@ -228,7 +223,7 @@ def verify_deviated_nash(
     if profile is None:
         profile = 1.0
     prof = _resolve_profile(instance, flow, profile, tau)
-    deviations.check_membership(instance, flow, atol=atol)
+    deviations.check_membership(instance, flow)
     records: list[ViolationRecord] = []
     for i, commodity in enumerate(instance.commodities):
         lat = strategy_latencies(instance, i, flow.loads)
@@ -242,7 +237,7 @@ def verify_deviated_nash(
             records.append(
                 _worst_used(i, j, commodity.strategies, qvals, used, qvals.index(rhs), rhs)
             )
-    return EquilibriumCertificate.from_records("deviated-nash", records, atol, rtol)
+    return EquilibriumCertificate.from_records("deviated-nash", records, rtol)
 
 
 def deviations_from_approx(
@@ -284,26 +279,21 @@ def verify_deviation_implies_approx(
     flow: Flow,
     deviations: DeviationProfile,
     profile: SensitivityProfile | float | None = None,
-    *,
-    atol: float = TAU_ABS,
-    rtol: float | None = None,
 ) -> EquilibriumCertificate:
     """Re-verify a deviated equilibrium as approximate with eps = beta*gamma.
 
     Requires the flow to pass ``verify_deviated_nash`` first; the returned
     approximate certificate then holds by inclusion of the deviation model
-    in the approximation model.  ``rtol`` defaults to ``tau_rel()``.
+    in the approximation model.  Both checks use ``tau_rel()``.
     """
-    rtol = tau_rel() if rtol is None else rtol
-    cert = verify_deviated_nash(
-        instance, flow, deviations, profile, atol=atol, rtol=rtol
-    )
+    rtol = tau_rel()
+    cert = verify_deviated_nash(instance, flow, deviations, profile, rtol=rtol)
     if not cert.passed:
         raise InputError(
             f"flow is not a bounded-deviation equilibrium (worst slack {cert.worst_slack})"
         )
     eps = approx_factors(1.0 if profile is None else profile, deviations.beta)
-    return verify_approx_nash(instance, flow, eps, atol=atol, rtol=rtol)
+    return verify_approx_nash(instance, flow, eps, rtol=rtol)
 
 
 def approx_factors(
@@ -434,7 +424,7 @@ def _frank_wolfe(
             active = np.flatnonzero(f > TAU_ABS)
             if active.size:
                 worst = float(np.max(c[active]))
-                settled = settled and close_leq(worst, cmin, atol=TAU_ABS, rtol=0.5 * rtol)
+                settled = settled and close_leq(worst, cmin, rtol=0.5 * rtol)
         return gap / max(cost, TAU_ABS), settled
 
     steps = 0
@@ -687,7 +677,7 @@ def worst_approx_search(
         for (i, _, eps_j, _), row in zip(blocks, choice):
             bar = (1.0 + eps_j) * min(strat_lat[i])
             for p, v in enumerate(row):
-                if v > TAU_ABS and not close_leq(strat_lat[i][p], bar, atol=TAU_ABS):
+                if v > TAU_ABS and not close_leq(strat_lat[i][p], bar):
                     ok = False
                     break
             if not ok:

@@ -28,6 +28,8 @@ from .errors import InputError, InvariantError
 from .latency import DeviationFn, LatencyFn
 from .tolerances import TAU_ABS
 
+PATH_CAP = 100_000
+
 
 # -- series-parallel composition trees -----------------------------------
 
@@ -77,8 +79,10 @@ class SPTree:
             return left + right
         return [a + b for a in left for b in right]
 
-    def to_annotation(self, source: str = "s", sink: str = "t") -> NetworkAnnotation:
-        nodes: list[str] = [source, sink]
+    def to_annotation(self) -> NetworkAnnotation:
+        """Embed the tree between the terminals "s" and "t"; series nodes
+        become n0, n1, ... in depth-first order."""
+        nodes: list[str] = ["s", "t"]
         arcs: list[tuple[str, str, str]] = []
         counter = [0]
 
@@ -95,10 +99,8 @@ class SPTree:
                 embed(tree.children[0], tail, head)
                 embed(tree.children[1], tail, head)
 
-        embed(self, source, sink)
-        return NetworkAnnotation(
-            nodes=tuple(nodes), arcs=tuple(arcs), source=source, sink=sink
-        )
+        embed(self, "s", "t")
+        return NetworkAnnotation(nodes=tuple(nodes), arcs=tuple(arcs), source="s", sink="t")
 
 
 def is_series_parallel(annotation: NetworkAnnotation) -> bool:
@@ -207,9 +209,9 @@ def gen_random_sp(
     return instance, tree
 
 
-def enumerate_st_paths(annotation: NetworkAnnotation, cap: int = 100_000) -> list[tuple[str, ...]]:
+def enumerate_st_paths(annotation: NetworkAnnotation) -> list[tuple[str, ...]]:
     """All simple source-sink paths as arc-id tuples, in DFS order over
-    arc ids sorted per tail node."""
+    arc ids sorted per tail node; InputError past ``PATH_CAP`` paths."""
     outgoing: dict[str, list[tuple[str, str]]] = {}
     for rid, tail, head in annotation.arcs:
         outgoing.setdefault(tail, []).append((rid, head))
@@ -220,8 +222,8 @@ def enumerate_st_paths(annotation: NetworkAnnotation, cap: int = 100_000) -> lis
     def walk(at: str, visited: frozenset[str], trail: tuple[str, ...]) -> None:
         if at == annotation.sink:
             paths.append(trail)
-            if len(paths) > cap:
-                raise InputError(f"more than {cap} source-sink paths")
+            if len(paths) > PATH_CAP:
+                raise InputError(f"more than {PATH_CAP} source-sink paths")
             return
         for rid, head in outgoing.get(at, ()):
             if head not in visited:
@@ -516,11 +518,9 @@ class AlternatingPath:
         return tuple(rid for rid, _ in self.steps)
 
 
-def _classify_arcs(
-    instance: GameInstance, x: Flow, z: Flow, tol: float
-) -> list[tuple[str, str, str, bool]]:
-    """(rid, from, to, forward) edges of the mixed graph; arcs unused by both
-    flows are dropped."""
+def _classify_arcs(instance: GameInstance, x: Flow, z: Flow) -> list[tuple[str, str, str, bool]]:
+    """(rid, from, to, forward) edges of the mixed graph; arcs that neither
+    flow loads beyond TAU_ABS are dropped."""
     if instance.graph is None:
         raise InputError("alternating paths need a graph annotation")
     if len(instance.commodities) != 1:
@@ -530,26 +530,25 @@ def _classify_arcs(
     for rid, tail, head in instance.graph.arcs:
         k = index[rid]
         xa, za = x.loads[k], z.loads[k]
-        if xa <= tol and za <= tol:
+        if xa <= TAU_ABS and za <= TAU_ABS:
             continue
-        if za >= xa - tol and za > tol:
+        if za >= xa - TAU_ABS and za > TAU_ABS:
             edges.append((rid, tail, head, True))
         else:
             edges.append((rid, head, tail, False))
     return edges
 
 
-def compute_alternating_path(
-    instance: GameInstance, x: Flow, z: Flow, *, tol: float = TAU_ABS
-) -> AlternatingPath:
+def compute_alternating_path(instance: GameInstance, x: Flow, z: Flow) -> AlternatingPath:
     """Minimum-backward-arc alternating path from source to sink.
 
     Arcs where the equilibrium flow z carries at least the comparison flow x
     (and is positive) are traversed forward, the rest backward; arcs unused
     by both are removed.  Computed as a 0/1-weight shortest path, so the
-    returned q is minimal.
+    returned q is minimal; q == 0 exactly when some source-sink path uses
+    only arcs where z dominates x.
     """
-    edges = _classify_arcs(instance, x, z, tol)
+    edges = _classify_arcs(instance, x, z)
     graph = instance.graph
     adjacency: dict[str, list[tuple[int, str, str, bool]]] = {}
     for rid, frm, to, forward in sorted(edges):
@@ -589,40 +588,3 @@ def compute_alternating_path(
     steps.reverse()
     return AlternatingPath(steps=tuple(steps), q=dist[graph.sink])
 
-
-def find_z_dominant_path(
-    instance: GameInstance, x: Flow, z: Flow, *, tol: float = TAU_ABS
-) -> tuple[str, ...]:
-    """Source-sink path using only arcs where z carries at least x and is
-    positive; InvariantError when none exists."""
-    edges = _classify_arcs(instance, x, z, tol)
-    graph = instance.graph
-    adjacency: dict[str, list[tuple[str, str]]] = {}
-    for rid, frm, to, forward in sorted(edges):
-        if forward:
-            adjacency.setdefault(frm, []).append((rid, to))
-    frontier = [graph.source]
-    parent: dict[str, tuple[str, str]] = {}
-    seen = {graph.source}
-    while frontier:
-        node = frontier.pop(0)
-        if node == graph.sink:
-            break
-        for rid, to in adjacency.get(node, ()):
-            if to not in seen:
-                seen.add(to)
-                parent[to] = (node, rid)
-                frontier.append(to)
-    if graph.sink not in seen:
-        raise InvariantError(
-            "no source-sink path stays within the arcs where the equilibrium "
-            "flow dominates the comparison flow"
-        )
-    arcs: list[str] = []
-    node = graph.sink
-    while node != graph.source:
-        prev, rid = parent[node]
-        arcs.append(rid)
-        node = prev
-    arcs.reverse()
-    return tuple(arcs)

@@ -116,7 +116,6 @@ def verify_matroid_deviated(
     *,
     method: str = "swap",
     cross_check: bool = False,
-    atol: float = TAU_ABS,
     rtol: float | None = None,
 ) -> EquilibriumCertificate:
     """Check that used bases minimize latency plus gamma-weighted deviation.
@@ -141,17 +140,13 @@ def verify_matroid_deviated(
     rtol = tau_rel() if rtol is None else rtol
     if method == "full":
         if deviations is None:
-            cert = verify_approx_nash(game.instance, flow, 0.0, atol=atol, rtol=rtol)
+            cert = verify_approx_nash(game.instance, flow, 0.0, rtol=rtol)
         else:
-            cert = verify_deviated_nash(
-                game.instance, flow, deviations, gamma, atol=atol, rtol=rtol
-            )
-        cert = EquilibriumCertificate(
-            "matroid-deviated-full", cert.records, cert.passed, cert.atol, cert.rtol
-        )
+            cert = verify_deviated_nash(game.instance, flow, deviations, gamma, rtol=rtol)
+        cert = EquilibriumCertificate("matroid-deviated-full", cert.records, cert.passed, rtol)
     else:
         if deviations is not None:
-            deviations.check_membership(game.instance, flow, atol=atol)
+            deviations.check_membership(game.instance, flow)
         weights = _edge_weights(game, flow, deviations, gamma)
         ground = game.ground_ids
         records: list[ViolationRecord] = []
@@ -188,12 +183,12 @@ def verify_matroid_deviated(
                     lhs=lhs, rhs=rhs, slack=slack,
                 )
             )
-        cert = EquilibriumCertificate.from_records("matroid-deviated-swap", records, atol, rtol)
+        cert = EquilibriumCertificate.from_records("matroid-deviated-swap", records, rtol)
     if cross_check:
         other = verify_matroid_deviated(
             game, flow, deviations, gamma,
             method="full" if method == "swap" else "swap",
-            cross_check=False, atol=atol, rtol=rtol,
+            cross_check=False, rtol=rtol,
         )
         if other.passed != cert.passed:
             raise InvariantError(
@@ -312,21 +307,18 @@ def check_matroid_exchange_claims(
     x: Flow,
     z: Flow,
     beta: float,
-    *,
-    atol: float = TAU_ABS,
-    rtol: float | None = None,
 ) -> ExchangeClaimsReport:
     """Evaluate the exchange inequalities comparing a bounded-deviation
     equilibrium x with an equilibrium z (both with sensitivity bound beta).
 
     The caller is expected to have verified x and z; this inspects only
-    loads and latencies and reports margins.
+    loads and latencies and reports margins at ``tau_rel()``.
     """
     if not (isfinite(beta) and beta >= 0):
         raise InputError(f"beta must be a nonnegative float, got {beta}")
     if x.instance is not game.instance or z.instance is not game.instance:
         raise InputError("flows were built for a different instance than this game")
-    rtol = tau_rel() if rtol is None else rtol
+    rtol = tau_rel()
     per_resource: list[ClaimRecord] = []
     over_sum = 0.0
     under_sum = 0.0
@@ -337,14 +329,14 @@ def check_matroid_exchange_claims(
         if xe > ze + TAU_ABS:
             lhs = lat_x
             rhs = (1.0 + beta) * res.latency(ze)
-            ok = close_leq(lhs, rhs, atol=atol, rtol=rtol)
+            ok = close_leq(lhs, rhs, rtol=rtol)
             per_resource.append(ClaimRecord(res.id, lhs, rhs, rhs - lhs, ok))
             passed = passed and ok
             over_sum += (xe - ze) * lat_x
         else:
             under_sum += (ze - xe) * lat_x
     agg_rhs = (1.0 + beta) * under_sum
-    agg_ok = close_leq(over_sum, agg_rhs, atol=atol, rtol=rtol)
+    agg_ok = close_leq(over_sum, agg_rhs, rtol=rtol)
     aggregate = ClaimRecord(None, over_sum, agg_rhs, agg_rhs - over_sum, agg_ok)
     return ExchangeClaimsReport(
         per_resource=tuple(per_resource),

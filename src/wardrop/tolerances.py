@@ -1,7 +1,7 @@
 """Numeric tolerances used by every solver and verifier.
 
 All arithmetic is double precision.  This module alone holds the slack
-rules: an inequality lhs <= rhs holds when lhs <= rhs + atol + rtol*|rhs|
+rules: an inequality lhs <= rhs holds when lhs <= rhs + TAU_ABS + rtol*|rhs|
 (``close_leq``), and routed flow meets a demand when the two differ by at
 most TAU_ABS + rtol*max(1, |demand|) (``demand_matches``).  ``rtol`` is
 ``tau_rel`` (default 1e-9, overridable through the WARDROP_TOL environment
@@ -34,9 +34,9 @@ def tau_rel() -> float:
     return value
 
 
-def close_leq(lhs: float, rhs: float, *, atol: float = TAU_ABS, rtol: float = 0.0) -> bool:
-    """lhs <= rhs up to the mixed tolerance atol + rtol*|rhs|."""
-    return lhs <= rhs + atol + rtol * abs(rhs)
+def close_leq(lhs: float, rhs: float, *, rtol: float = 0.0) -> bool:
+    """lhs <= rhs up to the mixed tolerance TAU_ABS + rtol*|rhs|."""
+    return lhs <= rhs + TAU_ABS + rtol * abs(rhs)
 
 
 def demand_matches(total: float, demand: float, rtol: float) -> bool:

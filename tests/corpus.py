@@ -19,6 +19,7 @@ from wardrop import (
     NetworkAnnotation,
     Resource,
     SensitivityProfile,
+    UniformMatroidGame,
     gen_braess_subcritical,
     gen_braess_supercritical,
     gen_matroid_unbounded,
@@ -159,6 +160,25 @@ def random_feasible_flow(
             rows.append([class_demand * w / total for w in weights])
         values.append(rows)
     return Flow.build(instance, values, profile)
+
+
+def seeded_case(family: str, seed: int, max_classes: int = 3):
+    """(rng, instance, profile) for one seeded instance of a family:
+    parallel, grid, random-sp, matroid or multicommodity."""
+    rng = random.Random(seed)
+    if family == "parallel":
+        instance = random_parallel_instance(rng)
+    elif family == "grid":
+        instance = grid_instance(rng, rng.choice((3, 4)))
+    elif family == "random-sp":
+        instance, _ = gen_random_sp(seed, depth=rng.randint(1, 5), max_leaves=rng.randint(2, 16))
+    elif family == "matroid":
+        n = rng.randint(3, 6)
+        resources = tuple(Resource(f"e{k}", random_latency(rng)) for k in range(n))
+        instance = UniformMatroidGame(resources, rank=rng.randint(1, n - 1)).instance
+    else:
+        instance = random_multicommodity_instance(rng)
+    return rng, instance, random_profile(rng, instance, max_classes)
 
 
 def measured_eps(instance: GameInstance, flow: Flow) -> float:

@@ -160,6 +160,8 @@ def test_density_validation():
     with pytest.raises(InputError):
         DensityFn.uniform(1.0, 1.0)
     with pytest.raises(InputError):
+        DensityFn.uniform(0.0, math.inf)  # zero height: the mass 0 * inf is NaN
+    with pytest.raises(InputError):
         DensityFn.triangular(1.0, 0.5, 2.0)
 
 

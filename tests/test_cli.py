@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -114,6 +115,22 @@ def test_gen_bad_params(tmp_path, capsys):
     code, _, stderr = run(capsys, "gen", "two-arc-dr", "--beta", "-1",
                           "--r", "1", "--gamma", "1", "--out", str(tmp_path / "y.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("density", ["uniform:0,inf", "triangular:0,1,inf"])
+def test_gen_rejects_non_finite_density(tmp_path, capsys, density):
+    code, _, stderr = run(capsys, "gen", "density-discretize", "--density", density,
+                          "--eps-prime", "0.5", "--out", str(tmp_path / "d.json"))
+    assert code == 2
+    assert "error:" in stderr
+
+
+@pytest.mark.parametrize("density", ["uniform:0,1,2", "triangular:0,1"])
+def test_gen_rejects_density_with_wrong_arity(tmp_path, capsys, density):
+    code, _, stderr = run(capsys, "gen", "density-discretize", "--density", density,
+                          "--eps-prime", "0.5", "--out", str(tmp_path / "d.json"))
+    assert code == 2
+    assert "density takes" in stderr
 
 
 # -- analyze ------------------------------------------------------------------
@@ -483,6 +500,61 @@ def test_sweep_spec_validation(tmp_path, capsys):
     code, _, stderr = run(capsys, "sweep", "--spec", spec)
     assert code == 2
     assert "output path" in stderr
+
+
+@pytest.mark.parametrize("bounds", [
+    {"start": 0, "stop": math.inf, "step": 1},
+    {"start": 0, "stop": 1, "step": math.nan},
+    {"start": -math.inf, "stop": 1, "step": 1},
+])
+def test_sweep_rejects_non_finite_range(tmp_path, capsys, bounds):
+    # json.dumps writes Infinity and NaN, which json.load accepts
+    spec = write_spec(tmp_path, {"family": "random-sp", "params": {"seed": bounds}})
+    code, _, stderr = run(capsys, "sweep", "--spec", spec, "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert "must be finite" in stderr
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("outputs", [5, "ratio"])
+def test_sweep_outputs_must_be_a_list(tmp_path, capsys, outputs):
+    spec = write_spec(tmp_path, {
+        "family": "braess-sub", "params": {"m": 2, "eps": 0.1}, "outputs": outputs,
+    })
+    code, _, stderr = run(capsys, "sweep", "--spec", spec, "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert "list of metrics" in stderr
+
+
+@pytest.mark.parametrize("out", [5, 1])
+def test_sweep_spec_out_must_be_a_string(tmp_path, capsys, out):
+    spec = write_spec(tmp_path, {"family": "braess-sub", "params": {"m": 2, "eps": 0.1},
+                                 "out": out})
+    code, stdout, stderr = run(capsys, "sweep", "--spec", spec)
+    assert code == 2
+    assert stdout == "" and "path string" in stderr
+
+
+def test_sweep_jobs_below_one(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"family": "braess-sub", "params": {"m": 2, "eps": 0.1}})
+    for jobs in ("0", "-3"):
+        code, _, stderr = run(capsys, "sweep", "--spec", spec, "--out",
+                              str(tmp_path / "o.csv"), "--jobs", jobs)
+        assert code == 2
+        assert "--jobs" in stderr
+
+
+def test_unwritable_out_path(braess_files, tmp_path, capsys):
+    spec = write_spec(tmp_path, {"family": "braess-sub", "params": {"m": 2, "eps": 0.1}})
+    out = str(tmp_path / "missing-dir" / "out.json")
+    for argv in (
+        ("gen", "braess-sub", "--m", "2", "--eps", "0.5", "--out", out),
+        ("analyze", "--instance", braess_files["instance"], "--out", out),
+        ("sweep", "--spec", spec, "--out", out),
+    ):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2
+        assert "cannot write output" in stderr
 
 
 def test_sweep_all_rows_fail_exit_code(tmp_path, capsys, monkeypatch):

@@ -25,10 +25,10 @@ from wardrop import (
     compute_nash_flow,
     gen_braess_subcritical,
     gen_two_arc_dr,
-    path_latency,
     social_cost,
     strategy_latencies,
     validate_instance,
+    verify_approx_nash,
 )
 from wardrop import core, tolerances
 from wardrop.core import require_valid_instance
@@ -54,7 +54,7 @@ def pigou() -> GameInstance:
 def test_path_latency_pigou():
     inst = pigou()
     flow = Flow.single_class(inst, [[1.0, 0.0]])
-    assert path_latency(inst, ("e1",), flow.loads) == 1.0
+    assert strategy_latencies(inst, 0, flow.loads)[0] == 1.0
 
 
 def test_path_latency_constant_paths_at_zero_load():
@@ -62,13 +62,7 @@ def test_path_latency_constant_paths_at_zero_load():
         (Resource("a", LatencyFn.constant(0.3)), Resource("b", LatencyFn.constant(0.9))),
         (Commodity(1.0, (("a", "b"),)),),
     )
-    assert path_latency(inst, ("a", "b"), (0.0, 0.0)) == pytest.approx(1.2)
-
-
-def test_path_latency_unknown_resource():
-    inst = pigou()
-    with pytest.raises(InputError):
-        path_latency(inst, ("ghost",), (0.0, 0.0))
+    assert strategy_latencies(inst, 0, (0.0, 0.0)) == [pytest.approx(1.2)]
 
 
 def test_strategy_latencies():
@@ -352,11 +346,12 @@ def test_profile_validate_rejects_demand_mismatch():
 
 
 def test_profile_homogeneous_and_scaled():
+    # a scalar profile argument is the one-class profile with that value
     inst = pigou()
-    profile = SensitivityProfile.homogeneous(inst, 2.0)
-    assert profile.classes == (((1.0, 2.0),),)
+    flow = Flow.single_class(inst, [[0.5, 0.5]])
+    profile = SensitivityProfile((((1.0, 2.0),),))
+    assert verify_approx_nash(inst, flow, profile) == verify_approx_nash(inst, flow, 2.0)
     assert profile.scaled(0.5).classes == (((1.0, 1.0),),)
-    assert profile.n_classes(0) == 1
 
 
 def test_profile_single_commodity_length_mismatch():
@@ -397,15 +392,14 @@ def test_deviation_strategy_value_edge_induced():
         1.0, edge_fns={"e1": DeviationFn.constant(0.25), "e2": DeviationFn.scaled(0.5)}
     )
     loads = (1.0, 0.0)
-    assert dev.strategy_value(inst, 0, 0, loads) == pytest.approx(0.25)
-    assert dev.strategy_value(inst, 0, 1, loads) == pytest.approx(0.5)
+    assert dev.strategy_deviations(inst, 0, loads) == [pytest.approx(0.25), pytest.approx(0.5)]
     assert dev.edge_value(inst, "unlisted", 1.0) == 0.0
 
 
 def test_deviation_strategy_value_explicit():
     inst = pigou()
     dev = DeviationProfile(1.0, strategy_values=((0.1, 0.2),))
-    assert dev.strategy_value(inst, 0, 1, (0.0, 0.0)) == 0.2
+    assert dev.strategy_deviations(inst, 0, (0.0, 0.0))[1] == 0.2
 
 
 def test_deviation_membership_pass_and_fail():

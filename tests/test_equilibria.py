@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wardrop import (
     BoundValue,
@@ -50,6 +52,7 @@ from corpus import (
     random_deviations,
     random_parallel_instance,
     random_profile,
+    seeded_case,
 )
 
 
@@ -195,6 +198,20 @@ def test_deviations_from_approx_random_round_trip():
         eps = measured_eps(inst, flow)
         dev = deviations_from_approx(inst, flow, eps)
         assert verify_deviated_nash(inst, flow, dev).passed
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(("parallel", "grid", "random-sp")), st.integers(0, 2**32 - 1),
+       st.floats(0.1, 4.0))
+def test_deviations_from_approx_pass_verify_deviated_nash(family, seed, gamma):
+    rng, instance, _ = seeded_case(family, seed)
+    # a random support, so that some strategies are unused
+    (commodity,) = instance.commodities
+    weights = [rng.random() if rng.random() < 0.5 else 0.0 for _ in commodity.strategies]
+    weights[rng.randrange(len(weights))] += 1.0
+    flow = Flow.single_class(instance, [[commodity.demand * w / sum(weights) for w in weights]])
+    deviations = deviations_from_approx(instance, flow, measured_eps(instance, flow), gamma)
+    assert verify_deviated_nash(instance, flow, deviations, gamma).passed
 
 
 def test_deviations_from_approx_errors():

@@ -4,13 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wardrop import (
     Commodity,
     Flow,
     GameInstance,
     InputError,
-    InvariantError,
     LatencyFn,
     NetworkAnnotation,
     Resource,
@@ -22,7 +23,6 @@ from wardrop import (
     compute_nash_flow,
     empirical_ratio,
     enumerate_st_paths,
-    find_z_dominant_path,
     gen_braess_subcritical,
     gen_braess_supercritical,
     gen_parallel_sr,
@@ -34,7 +34,9 @@ from wardrop import (
     verify_approx_nash,
 )
 
-from corpus import generator_corpus, random_feasible_flow
+from wardrop import graphs
+
+from corpus import generator_corpus, grid_instance, random_feasible_flow
 
 
 def oracle_min_backward(instance, x, z, tol=TAU_ABS):
@@ -246,11 +248,12 @@ def test_alternating_path_needs_annotation():
 
 
 def test_z_dominant_path():
+    # a path within the arcs where z dominates x is an alternating path with q = 0
     instance, _p, _d, x, z, _b = gen_two_arc_dr(1.0, (0.5, 0.5), (1.0, 2.0))
-    assert find_z_dominant_path(instance, x, z) == ("a1",)
+    path = compute_alternating_path(instance, x, z)
+    assert (path.q, path.arcs()) == (0, ("a1",))
     ladder, x2, z2, _b2 = gen_braess_subcritical(3, 0.25)
-    with pytest.raises(InvariantError):
-        find_z_dominant_path(ladder, x2, z2)
+    assert compute_alternating_path(ladder, x2, z2).q > 0
 
 
 # -- series-parallel recognition and random instances ------------------------
@@ -327,7 +330,44 @@ def test_gen_random_sp_validation():
         gen_random_sp(1, latency_family="fourier")
 
 
-def test_enumerate_paths_cap():
+def _random_digraph(rng: random.Random) -> NetworkAnnotation:
+    """Six nodes, random arcs in both directions (so cycles, arcs into the
+    source and out of the sink) and some parallel arcs."""
+    nodes = ("s", "a", "b", "c", "d", "t")
+    arcs = []
+    for tail in nodes:
+        for head in nodes:
+            while tail != head and rng.random() < 0.4:
+                arcs.append((f"x{len(arcs)}", tail, head))
+    return NetworkAnnotation(nodes, tuple(arcs), "s", "t")
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(("ladder", "grid", "random-sp", "cyclic")), st.integers(0, 2**32 - 1))
+def test_enumerate_st_paths_matches_networkx(family, seed):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    if family == "ladder":
+        graph = build_braess_graph(rng.randint(2, 12))
+    elif family == "grid":
+        graph = grid_instance(rng, rng.randint(2, 5)).graph
+    elif family == "random-sp":
+        instance, _ = gen_random_sp(seed, depth=rng.randint(1, 8), max_leaves=rng.randint(2, 24))
+        graph = instance.graph
+    else:
+        graph = _random_digraph(rng)
+    multi = nx.MultiDiGraph()
+    multi.add_nodes_from(graph.nodes)
+    for rid, tail, head in graph.arcs:
+        multi.add_edge(tail, head, key=rid)
+    oracle = nx.all_simple_edge_paths(multi, graph.source, graph.sink)
+    paths = enumerate_st_paths(graph)
+    assert len(set(paths)) == len(paths)
+    assert sorted(paths) == sorted(tuple(key for _, _, key in path) for path in oracle)
+
+
+def test_enumerate_paths_cap(monkeypatch):
     graph = build_braess_graph(4)
+    monkeypatch.setattr(graphs, "PATH_CAP", 3)
     with pytest.raises(InputError):
-        enumerate_st_paths(graph, cap=3)
+        enumerate_st_paths(graph)

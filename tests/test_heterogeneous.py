@@ -1,49 +1,23 @@
 """The deviated-equilibrium solver on parallel links, grid DAGs, uniform
 matroids and multi-commodity instances: every returned flow is certified."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wardrop import (
     DeviationFn,
     DeviationProfile,
-    Resource,
-    UniformMatroidGame,
     heterogeneous_parallel_equilibrium,
     verify_deviated_nash,
     verify_deviation_implies_approx,
 )
 
-from corpus import (
-    grid_instance,
-    random_deviations,
-    random_latency,
-    random_multicommodity_instance,
-    random_parallel_instance,
-    random_profile,
-)
+from corpus import random_deviations, seeded_case
 
 # a failed property raises ConvergenceError instead of running for long
 MAX_ROUNDS = 200
 FAMILIES = ("parallel", "grid", "matroid", "multicommodity")
 PROPERTY = settings(max_examples=30, derandomize=True, database=None, deadline=None)
-
-
-def seeded_case(family: str, seed: int, max_classes: int):
-    rng = random.Random(seed)
-    if family == "parallel":
-        instance = random_parallel_instance(rng)
-    elif family == "grid":
-        instance = grid_instance(rng, rng.choice((3, 4)))
-    elif family == "matroid":
-        n = rng.randint(3, 6)
-        resources = tuple(Resource(f"e{k}", random_latency(rng)) for k in range(n))
-        instance = UniformMatroidGame(resources, rank=rng.randint(1, n - 1)).instance
-    else:
-        instance = random_multicommodity_instance(rng)
-    return rng, instance, random_profile(rng, instance, max_classes)
 
 
 @PROPERTY

@@ -7,8 +7,11 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wardrop import (
+    DeviationProfile,
     Flow,
     InputError,
     dumps_canonical,
@@ -24,9 +27,11 @@ from wardrop.jsonio import format_float, write_flow, write_instance
 
 from corpus import (
     generator_corpus,
+    random_deviations,
     random_feasible_flow,
     random_parallel_instance,
     random_profile,
+    seeded_case,
 )
 
 
@@ -92,6 +97,34 @@ def test_instance_round_trip_bytes_identical():
         instance2, profile2, deviations2 = instance_from_obj(json.loads(text))
         obj2 = instance_to_obj(instance2, profile2, deviations2)
         assert dumps_canonical(obj2) == text
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(("parallel", "grid", "random-sp", "matroid", "multicommodity")),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+)
+def test_random_round_trips_are_byte_identical(family, seed, classes, edge_induced):
+    rng, instance, profile = seeded_case(family, seed)
+    if not classes:
+        profile = None
+    beta = rng.uniform(0.0, 2.0)
+    if edge_induced:
+        deviations = random_deviations(rng, instance, beta)
+    else:
+        deviations = DeviationProfile(beta, strategy_values=tuple(
+            tuple(rng.uniform(0.0, 3.0) for _ in c.strategies) for c in instance.commodities
+        ))
+    text = dumps_canonical(instance_to_obj(instance, profile, deviations))
+    instance2, profile2, deviations2 = instance_from_obj(json.loads(text))
+    assert dumps_canonical(instance_to_obj(instance2, profile2, deviations2)) == text
+    flow = random_feasible_flow(rng, instance, profile)
+    flow_text = dumps_canonical(flow_to_obj(flow))
+    flow2 = flow_from_obj(json.loads(flow_text), instance2, profile2)
+    assert flow2.values == flow.values
+    assert dumps_canonical(flow_to_obj(flow2)) == flow_text
 
 
 def test_instance_round_trip_preserves_values():

@@ -247,6 +247,3 @@ def test_edge_induced_deviations_equal_python_sums_bit_for_bit():
             ]
             got = dev.strategy_deviations(instance, i, loads)
             assert _hex(got) == _hex(expected)
-            assert _hex(dev.strategy_value(instance, i, p, loads) for p in range(len(ids))) == _hex(
-                expected
-            )
