@@ -283,6 +283,8 @@ def discretize_density(
             else:
                 b = mid
         alpha = 0.5 * (a + b)
+    if alpha / eps_prime > 10**7:  # ceil(alpha / eps_prime) buckets
+        raise InputError("eps_prime produces more than 1e7 classes")
     demands: list[float] = []
     gammas: list[float] = []
     k = 0
@@ -294,8 +296,6 @@ def discretize_density(
             demands.append(r_k)
             gammas.append(left)
         k += 1
-        if k > 10**7:
-            raise InputError("eps_prime produces more than 1e7 classes")
     if tail_mass > 0.0:
         demands.append(tail_mass)
         gammas.append(alpha)

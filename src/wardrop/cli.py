@@ -32,7 +32,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
-from math import isfinite
+from math import isfinite, prod
 
 from .bounds import (
     BoundValue,
@@ -84,6 +84,7 @@ FAMILIES = (
     "density-discretize",
 )
 METRICS = ("ratio", "bound", "gap", "q")
+SWEEP_ROW_CAP = 10**6
 
 
 # -- parameter parsing -----------------------------------------------------
@@ -477,6 +478,8 @@ class SweepSpec:
             else:
                 values = sorted(values, key=str)
             value_lists.append(values)
+        if prod(map(len, value_lists)) > SWEEP_ROW_CAP:
+            raise InputError(f"sweep has more than {SWEEP_ROW_CAP} rows")
         rows = [dict(zip(keys, combo)) for combo in product(*value_lists)]
         return keys, rows
 
@@ -490,16 +493,16 @@ def _progression(key: str, obj: dict) -> list:
     start, stop, step = (obj[k] for k in ("start", "stop", "step"))
     if not all(type(v) is int for v in (start, stop, step)):
         start, stop, step = (_as_float(key, v) for v in (start, stop, step))
-        if not all(isfinite(v) for v in (start, stop, step)):
-            raise InputError(f"parameter {key}: range bounds must be finite, got {obj}")
+    if not all(abs(v) <= sys.float_info.max for v in (start, stop, step)):
+        raise InputError(f"parameter {key}: range bounds must be finite, got {obj}")
     if step <= 0 or stop < start:
         raise InputError(f"parameter {key}: need step > 0 and stop >= start")
-    values = []
-    v = start
-    while v <= stop + 1e-12 * max(1.0, abs(stop)):
-        values.append(v)
-        v = start + len(values) * step
-    return values
+    limit = stop + 1e-12 * max(1.0, abs(stop))
+    span = (limit - start) / step  # one less than the number of values, up to rounding
+    if not span < SWEEP_ROW_CAP:
+        raise InputError(f"parameter {key}: range has more than {SWEEP_ROW_CAP} values")
+    values = (start + k * step for k in range(1, int(span) + 2))
+    return [start] + [v for v in values if v <= limit]
 
 
 def _measure(family: str, bundle: dict, outputs: tuple[str, ...]) -> dict:

@@ -7,10 +7,10 @@ sum_e integral_0^{x_e} l_e(u) du on every instance (parallel links,
 networks, matroids) by a linearize / best-strategy / line-search loop over
 the product of demand simplices, moving mass from the costliest used
 strategy to the cheapest strategy of one commodity at a time with an exact
-line search (closed form on piecewise-linear latencies, Illinois regula
-falsi otherwise).  Latencies come from the instance's compiled
-``latency_bank``, one vector per step.  Termination is by relative duality
-gap.
+line search: safeguarded Newton steps on the potential's slope, which stop
+once the slope is within its own rounding error.  Latencies come from the
+instance's compiled ``latency_bank``, one vector per step.  Termination is
+by relative duality gap.
 
 ``heterogeneous_parallel_equilibrium`` handles several sensitivity classes
 under edge-induced deviations by diagonalization (Florian and Spiess, 1982):
@@ -311,60 +311,58 @@ def approx_factors(
 
 
 def _line_search(fns, loads: np.ndarray, delta: np.ndarray, tmax: float) -> float:
-    """argmin over t in [0, tmax] of the potential along loads + t*delta."""
+    """argmin over t in [0, tmax] of the potential along loads + t*delta.
+
+    Newton's method on the slope dphi(t) = sum_e d_e * l_e(x_e + t*d_e),
+    inside the bracket [0, tmax]: an iterate outside the bracket falls back
+    to a secant step, then to bisection.  It stops once |dphi(t)| lies within
+    its own rounding error k * 2**-52 * sum_e |d_e| * (l_e + l'_e * y_e) over
+    the k touched resources at loads y_e = x_e + t*d_e.
+    """
     touched = np.flatnonzero(delta)
     # plain floats: the scalar latencies run several times faster on them
     terms = list(zip([fns[e] for e in touched], loads[touched].tolist(), delta[touched].tolist()))
+    ulps = len(terms) * 2.0**-52
 
-    def dphi(t: float) -> float:
-        total = 0.0
+    def dphi(t: float) -> tuple[float, float, float]:
+        """dphi(t), its derivative in t and its rounding error."""
+        g = h = err = 0.0
         for fn, x, d in terms:
-            total += d * fn(x + t * d)
-        return total
+            y = x + t * d
+            v, s = fn.value_slope(y)
+            g += d * v
+            h += d * d * s
+            err += abs(d) * (v + s * y)
+        return g, h, ulps * err
 
-    d0 = dphi(0.0)
-    if d0 >= 0.0:
+    t = 0.0
+    g, h, err = dphi(t)
+    if g >= 0.0:
         return 0.0
-    if all(fn.is_piecewise for fn, _, _ in terms):
-        ts = set()
-        for fn, x, d in terms:
-            for bx in fn.breakpoint_loads():
-                t = (bx - x) / d
-                if 0.0 < t < tmax:
-                    ts.add(t)
-        prev, dprev = 0.0, d0
-        for t in sorted(ts) + [tmax]:
-            dt = dphi(t)
-            if dt >= 0.0:
-                return prev + (t - prev) * (-dprev) / (dt - dprev)
-            prev, dprev = t, dt
-        return tmax
-    # Illinois regula falsi on a bracket with dphi(a) < 0 <= dphi(b)
-    a, fa = 0.0, d0
-    b, fb = tmax, dphi(tmax)
-    if fb <= 0.0:
-        return tmax
-    side = 0
+    a, ga, b, gb = t, g, tmax, None  # dphi(a) < 0 <= dphi(b); gb is None until b is evaluated
     for _ in range(100):
-        t = b - fb * (b - a) / (fb - fa)
-        if not a < t < b:
-            t = 0.5 * (a + b)
-            if not a < t < b:
-                break  # a and b are adjacent doubles
-        ft = dphi(t)
-        if ft == 0.0:
+        if abs(g) <= err:
             return t
-        if ft < 0.0:
-            a, fa = t, ft
-            if side < 0:
-                fb *= 0.5
-            side = -1
+        u = t - g / h if h > 0.0 else (b if g < 0.0 else a)
+        if u == t:
+            return t  # the Newton correction is below the resolution of t
+        if gb is None and u >= b:
+            u = b
+        elif not a < u < b:
+            u = a - ga * (b - a) / (gb - ga)
+            if not a < u < b:
+                u = 0.5 * (a + b)
+                if not a < u < b:
+                    return a  # a and b are adjacent doubles
+        t = u
+        g, h, err = dphi(t)
+        if g < 0.0:
+            if t == tmax:
+                return t
+            a, ga = t, g
         else:
-            b, fb = t, ft
-            if side > 0:
-                fa *= 0.5
-            side = 1
-    return 0.5 * (a + b)
+            b, gb = t, g
+    return a
 
 
 def _frank_wolfe(

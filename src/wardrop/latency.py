@@ -129,19 +129,36 @@ class LatencyFn:
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
-        return self._pwl_value(x)
+        return self._segment(x)[0]
 
-    def _pwl_value(self, x: float) -> float:
+    def value_slope(self, x: float) -> tuple[float, float]:
+        """(l(x), l'(x)).  The value equals ``self(x)`` bit for bit; on a
+        piecewise-linear latency the slope is that of the segment the value
+        is read from, so at a breakpoint it is the slope to its right."""
+        if self.kind == "constant":
+            return self.coeffs[0], 0.0
+        if self.kind == "affine":
+            a, b = self.coeffs
+            return a + b * x, b
+        if self.kind == "polynomial":
+            acc = der = 0.0
+            for c in reversed(self.coeffs):
+                der = der * x + acc
+                acc = acc * x + c
+            return acc, der
+        return self._segment(x)
+
+    def _segment(self, x: float) -> tuple[float, float]:
         pts = self.points
         i = bisect_right(pts, x, key=itemgetter(0)) - 1
         if i < 0:
-            return pts[0][1]
+            return pts[0][1], 0.0
         if i == len(pts) - 1:
             x0, y0 = pts[-1]
-            return y0 + self.final_slope * (x - x0)
+            return y0 + self.final_slope * (x - x0), self.final_slope
         x0, y0 = pts[i]
         x1, y1 = pts[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0), (y1 - y0) / (x1 - x0)
 
     def integral(self, x: float) -> float:
         """Integral of the latency from load 0 to load x (x >= 0)."""
@@ -174,17 +191,6 @@ class LatencyFn:
             prev_x, prev_y = bx, by
         y_end = prev_y + self.final_slope * (x - prev_x)
         return total + 0.5 * (prev_y + y_end) * (x - prev_x)
-
-    def breakpoint_loads(self) -> tuple[float, ...]:
-        """Loads where the slope may change (empty for smooth kinds)."""
-        if self.kind == "piecewise-linear":
-            return tuple(p[0] for p in self.points)
-        return ()
-
-    @property
-    def is_piecewise(self) -> bool:
-        """True when the function is linear between known breakpoints."""
-        return self.kind in ("constant", "affine", "piecewise-linear")
 
     # -- serialization ------------------------------------------------
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -131,6 +132,15 @@ def test_gen_rejects_density_with_wrong_arity(tmp_path, capsys, density):
                           "--eps-prime", "0.5", "--out", str(tmp_path / "d.json"))
     assert code == 2
     assert "density takes" in stderr
+
+
+def test_gen_refuses_oversized_discretization_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    code, _, stderr = run(capsys, "gen", "density-discretize", "--density", "uniform:0,1",
+                          "--eps-prime", "1e-9", "--out", str(tmp_path / "d.json"))
+    assert code == 2
+    assert "more than 1e7 classes" in stderr
+    assert time.perf_counter() - start < 5.0
 
 
 # -- analyze ------------------------------------------------------------------
@@ -506,6 +516,7 @@ def test_sweep_spec_validation(tmp_path, capsys):
     {"start": 0, "stop": math.inf, "step": 1},
     {"start": 0, "stop": 1, "step": math.nan},
     {"start": -math.inf, "stop": 1, "step": 1},
+    {"start": 0, "stop": 10**400, "step": 1},  # an integer beyond the float range
 ])
 def test_sweep_rejects_non_finite_range(tmp_path, capsys, bounds):
     # json.dumps writes Infinity and NaN, which json.load accepts
@@ -514,6 +525,23 @@ def test_sweep_rejects_non_finite_range(tmp_path, capsys, bounds):
     assert code == 2
     assert "must be finite" in stderr
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "random-sp", "params": {"seed": {"start": 0, "stop": 1000000000, "step": 1}}},
+    {"family": "braess-sub", "params": {"m": 3, "eps": {"start": 0, "stop": 1, "step": 1e-9}}},
+    # 1,000 x 1,001 rows, each range below the cap
+    {"family": "braess-sub", "params": {"m": {"start": 2, "stop": 1001, "step": 1},
+                                        "eps": {"start": 0.0, "stop": 0.5, "step": 0.0005}}},
+])
+def test_sweep_refuses_oversized_grid_at_once(tmp_path, capsys, spec):
+    start = time.perf_counter()
+    code, _, stderr = run(capsys, "sweep", "--spec", write_spec(tmp_path, spec),
+                          "--out", str(tmp_path / "o.csv"))
+    assert code == 2
+    assert f"more than {cli.SWEEP_ROW_CAP}" in stderr
+    assert not (tmp_path / "o.csv").exists()
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("outputs", [5, "ratio"])

@@ -316,8 +316,68 @@ def test_line_search_lands_on_a_sign_change():
         w = 1e-9 * tmax
         lo, hi = max(0.0, t - w), min(tmax, t + w)
         assert _slope(fns, loads, delta, lo) < 0.0 <= _slope(fns, loads, delta, hi)
-        searched[all(fns[e].is_piecewise for e in ids)] += 1
+        searched[all(fns[e].kind != "polynomial" for e in ids)] += 1
     assert min(searched.values()) >= 30
+
+
+@pytest.fixture
+def slope_calls(monkeypatch) -> list[int]:
+    """Counts the calls of ``LatencyFn.value_slope`` in its one entry."""
+    calls = [0]
+    value_slope = LatencyFn.value_slope
+
+    def counted(fn, x):
+        calls[0] += 1
+        return value_slope(fn, x)
+
+    monkeypatch.setattr(LatencyFn, "value_slope", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kinds", [
+    ("affine", "constant"),
+    ("affine", "constant", "piecewise-linear"),
+    ("piecewise-linear",),
+])
+def test_line_search_slope_evaluations_are_bounded(slope_calls, kinds):
+    """Newton is exact on each linear piece of the slope: with affine and
+    constant terms only a search evaluates the slope at most twice, and each
+    kink in (0, tmax) of a piecewise-linear term costs at most one more."""
+    rng = random.Random(31415)
+    kinked = 0
+    for _ in range(1000):
+        n = rng.randint(2, 25)
+        fns = [random_latency(rng, rng.choice(kinds)) for _ in range(n)]
+        loads = np.array([rng.uniform(0.05, 2.0) for _ in range(n)])
+        ids = rng.sample(range(n), rng.randint(2, n))
+        cut = rng.randint(1, len(ids) - 1)
+        delta = np.zeros(n)
+        delta[ids[:cut]] = 1.0
+        delta[ids[cut:]] = -1.0
+        tmax = rng.uniform(0.1, 1.0) * float(min(loads[ids[cut:]]))
+        kinks = {
+            t for e in ids for x, _ in fns[e].points
+            if 0.0 < (t := (x - loads[e]) / delta[e]) < tmax
+        }
+        kinked += bool(kinks)
+        slope_calls[0] = 0
+        _line_search(fns, loads, delta, tmax)
+        assert slope_calls[0] % len(ids) == 0  # whole slope evaluations
+        assert slope_calls[0] // len(ids) <= len(kinks) + 2
+    assert kinked >= (200 if "piecewise-linear" in kinds else 0)
+
+
+@pytest.mark.parametrize("steep", [1e6, 1e9])
+def test_line_search_stops_at_the_resolution_of_t(slope_calls, steep):
+    """A steep latency on a resource the step almost empties makes the slope
+    change by more than its rounding error within one ulp of t; the search
+    then stops when the Newton correction rounds to zero."""
+    fns = [LatencyFn.affine(0.0, 1.0), LatencyFn.affine(0.0, steep)]
+    loads = np.array([0.0, 1.0 + 1.0 / steep])
+    delta = np.array([1.0, -1.0])
+    t = _line_search(fns, loads, delta, float(loads[1]))
+    assert t == pytest.approx(1.0, rel=4 * 2.0**-52)  # l_0(t) = l_1(1 + 1/steep - t)
+    assert slope_calls[0] <= 3 * len(fns)
 
 
 def _beckmann_loads(instance: GameInstance) -> np.ndarray:

@@ -62,7 +62,7 @@ def test_integral_matches_quadrature():
         fn = random_latency(rng)
         upper = rng.uniform(0.1, 4.0)
         expected, err = quad(
-            fn, 0.0, upper, points=[b for b in fn.breakpoint_loads() if b < upper],
+            fn, 0.0, upper, points=[x for x, _ in fn.points if x < upper],
             limit=200,
         )
         got = fn.integral(upper)
@@ -79,12 +79,6 @@ def test_integral_zero_and_negative_load():
 def test_pwl_integral_left_of_first_breakpoint():
     fn = LatencyFn.piecewise_linear(((1.0, 2.0), (2.0, 4.0)))
     assert fn.integral(0.5) == pytest.approx(1.0)  # constant 2.0 over [0, 0.5]
-
-
-def test_breakpoint_loads():
-    assert LatencyFn.affine(1.0, 1.0).breakpoint_loads() == ()
-    fn = LatencyFn.piecewise_linear(((0.0, 0.0), (1.0, 1.0)))
-    assert fn.breakpoint_loads() == (0.0, 1.0)
 
 
 def test_validate_rejects_negative_constant():
@@ -168,7 +162,7 @@ def test_latency_bank_matches_scalar_bit_for_bit():
     pwl = [fn for fn in fns if fn.kind == "piecewise-linear"]
     probes = [np.zeros(len(fns))]
     for fn in pwl:
-        for x in fn.breakpoint_loads():  # exactly on a breakpoint, and just below it
+        for x, _ in fn.points:  # exactly on a breakpoint, and just below it
             probes += [np.full(len(fns), x), np.full(len(fns), np.nextafter(x, -1.0))]
     probes += [np.array([rng.uniform(0.0, 3.0) for _ in fns]) for _ in range(50)]
     assert any(fn.points[0][0] > 0.0 for fn in pwl)  # the zero probe lies below it
@@ -176,6 +170,48 @@ def test_latency_bank_matches_scalar_bit_for_bit():
         got = bank(loads)
         want = np.array([fn(x) for fn, x in zip(fns, loads.tolist())])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _exact_slope(fn: LatencyFn, x: float) -> float:
+    """Derivative of the polynomial, or the slope of the segment holding x."""
+    if fn.kind == "constant":
+        return 0.0
+    if fn.kind == "affine":
+        return fn.coeffs[1]
+    if fn.kind == "polynomial":
+        return sum(i * c * x ** (i - 1) for i, c in enumerate(fn.coeffs) if i)
+    pts = fn.points
+    if x < pts[0][0]:
+        return 0.0
+    for (xa, ya), (xb, yb) in zip(pts, pts[1:]):
+        if xa <= x < xb:
+            return (yb - ya) / (xb - xa)
+    return fn.final_slope
+
+
+def test_value_slope_matches_call_and_derivative():
+    rng = random.Random(2718)
+    fns = [random_latency(rng) for _ in range(200)] + [
+        LatencyFn.piecewise_linear(((0.5, 1.0),), final_slope=2.0),
+        LatencyFn.piecewise_linear(((0.3, 0.5), (0.9, 1.25), (1.5, 4.0)), final_slope=0.5),
+    ]
+    assert {fn.kind for fn in fns} == {"constant", "affine", "polynomial", "piecewise-linear"}
+    h = 1e-6
+    for fn in fns:
+        kinks = [x for x, _ in fn.points]
+        probes = [rng.uniform(0.0, 3.0) for _ in range(10)]
+        for x in kinks:  # exactly on a breakpoint, and one ulp below it
+            probes += [x, math.nextafter(x, -math.inf)]
+        for x in probes:
+            value, slope = fn.value_slope(x)
+            assert value.hex() == fn(x).hex()
+            if fn.kind == "polynomial":
+                assert slope == pytest.approx(_exact_slope(fn, x), rel=1e-13)
+            else:
+                assert slope == _exact_slope(fn, x)
+            if all(abs(x - k) > 2 * h for k in kinks):
+                central = (fn(x + h) - fn(x - h)) / (2 * h)
+                assert slope == pytest.approx(central, rel=1e-6, abs=1e-7)
 
 
 def test_latency_bank_single_kind_and_empty():
