@@ -309,16 +309,21 @@ def discretize_density(
 # -- conditioned closed forms -------------------------------------------
 
 
-def stability_upper(eps: float, q: int) -> BoundValue:
-    """(1+eps)/(1-eps*q), valid while eps*q < 1; infinite marker otherwise."""
+def _conditioned(name: str, requires: str, eps: float, q: int) -> BoundValue:
+    """(1+eps)/(1-eps*q) while eps*q < 1 (echoed as ``requires``); infinite
+    marker otherwise."""
     if not (isfinite(eps) and eps >= 0):
         raise InputError(f"eps must be nonnegative, got {eps}")
+    if eps * q >= 1.0:
+        return BoundValue(name, None, True, requires)
+    return BoundValue(name, (1.0 + eps) / (1.0 - eps * q), requires=requires)
+
+
+def stability_upper(eps: float, q: int) -> BoundValue:
+    """(1+eps)/(1-eps*q), valid while eps*q < 1; infinite marker otherwise."""
     if not (isinstance(q, int) and q >= 0):
         raise InputError(f"q must be a nonnegative integer, got {q!r}")
-    requires = "eps*q < 1"
-    if eps * q >= 1.0:
-        return BoundValue("stability-upper", None, True, requires)
-    return BoundValue("stability-upper", (1.0 + eps) / (1.0 - eps * q), requires=requires)
+    return _conditioned("stability-upper", "eps*q < 1", eps, q)
 
 
 def braess_sup(eps: float, n: int) -> BoundValue:
@@ -328,17 +333,9 @@ def braess_sup(eps: float, n: int) -> BoundValue:
     critical tolerance 1/(m-1) the supremum is (1+eps)/(1-eps*(m-1));
     at or above it the family is unbounded.
     """
-    if not (isfinite(eps) and eps >= 0):
-        raise InputError(f"eps must be nonnegative, got {eps}")
     if not isinstance(n, int) or n % 2 != 0 or n < 4:
         raise InputError(f"n must be an even integer >= 4, got {n!r}")
-    m = n // 2
-    requires = "eps*(n/2 - 1) < 1"
-    if eps * (m - 1) >= 1.0:
-        return BoundValue("braess-family-sup", None, True, requires)
-    return BoundValue(
-        "braess-family-sup", (1.0 + eps) / (1.0 - eps * (m - 1)), requires=requires
-    )
+    return _conditioned("braess-family-sup", "eps*(n/2 - 1) < 1", eps, n // 2 - 1)
 
 
 def matroid_dr_bound(beta: float) -> BoundValue:
@@ -350,16 +347,9 @@ def matroid_dr_bound(beta: float) -> BoundValue:
 def matroid_sr_lower(eps: float, k: int) -> BoundValue:
     """Largest ratio of the rank-k uniform family: (1+eps)/(1-eps*(k-1)),
     unbounded once eps*(k-1) >= 1."""
-    if not (isfinite(eps) and eps >= 0):
-        raise InputError(f"eps must be nonnegative, got {eps}")
     if not isinstance(k, int) or k < 2:
         raise InputError(f"k must be an integer >= 2, got {k!r}")
-    requires = "eps*(k-1) < 1"
-    if eps * (k - 1) >= 1.0:
-        return BoundValue("matroid-stability-lower", None, True, requires)
-    return BoundValue(
-        "matroid-stability-lower", (1.0 + eps) / (1.0 - eps * (k - 1)), requires=requires
-    )
+    return _conditioned("matroid-stability-lower", "eps*(k-1) < 1", eps, k - 1)
 
 
 def abel_sum_bound(tau: Sequence[float], c: Sequence[float]) -> tuple[float, float]:

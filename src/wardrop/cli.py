@@ -10,8 +10,8 @@ Subcommands
                     alternating path and applicable bounds, and emits one
                     JSON (or flattened CSV) report.
 ``sweep``           expands a parameter grid from a spec file and writes one
-                    CSV row per combination, executed concurrently but
-                    aggregated in lexicographic parameter order.
+                    CSV row per combination, measured one at a time in
+                    lexicographic parameter order.
 
 Exit codes: 0 success, 2 input error, 3 convergence error, 4 invariant
 violation.  The environment variable WARDROP_TOL overrides the relative
@@ -25,11 +25,8 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import isfinite, prod
@@ -64,6 +61,7 @@ from .graphs import (
     gen_two_arc_dr,
 )
 from .jsonio import (
+    _load_json,
     dumps_canonical,
     format_float,
     read_flow,
@@ -541,14 +539,7 @@ def _measure(family: str, bundle: dict, outputs: tuple[str, ...]) -> dict:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read sweep spec {args.spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"sweep spec {args.spec} is not valid JSON: {exc}") from exc
-    spec = SweepSpec.from_obj(obj)
+    spec = SweepSpec.from_obj(_load_json(args.spec, "sweep spec"))
     out = args.out or spec.out
     if not out:
         raise InputError("sweep needs an output path (--out or spec 'out')")
@@ -565,43 +556,25 @@ def cmd_sweep(args) -> int:
                 f"invalid parameter combination {row} for family {spec.family}: {exc}"
             ) from exc
 
-    def run(idx: int) -> tuple[dict, str | None, float]:
-        t0 = time.perf_counter()
-        try:
-            metrics = _measure(spec.family, bundles[idx], spec.outputs)
-            status = "ok"
-            error = None
-        except WardropError as exc:
-            metrics = {m: None for m in METRICS}
-            status = f"error:{type(exc).__name__}"
-            error = exc
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        metrics["status"] = status
-        return metrics, error, elapsed_ms
-
-    # rows are independent, so more threads than rows or CPUs only add overhead
-    jobs = max(1, min(args.jobs, os.cpu_count() or 1, len(rows)))
-    results: list = [None] * len(rows)
-    if jobs == 1:
-        for idx in range(len(rows)):
-            results[idx] = run(idx)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for idx, res in enumerate(pool.map(run, range(len(rows)))):
-                results[idx] = res
-
     header = ["family", *keys, "ratio", "bound", "gap", "q", "status", "runtime_ms"]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     errors = []
-    for row, (metrics, error, elapsed_ms) in zip(rows, results):
-        if error is not None:
-            errors.append(error)
+    for row, bundle in zip(rows, bundles):
+        t0 = time.perf_counter()
+        try:
+            metrics = _measure(spec.family, bundle, spec.outputs)
+            status = "ok"
+        except WardropError as exc:
+            metrics = {m: None for m in METRICS}
+            status = f"error:{type(exc).__name__}"
+            errors.append(exc)
+        elapsed_ms = (time.perf_counter() - t0) * 1000.0
         cells = [spec.family]
         cells += [_cell(row[k]) for k in keys]
         cells += [_cell(metrics[m]) for m in METRICS]
-        cells.append(metrics["status"])
+        cells.append(status)
         cells.append("" if args.no_timing else format_float(elapsed_ms))
         writer.writerow(cells)
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -669,7 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--spec", required=True, help="sweep spec JSON path")
     sweep.add_argument("--out", help="CSV path (overrides spec 'out')")
     sweep.add_argument("--jobs", type=int, default=1,
-                       help="concurrent rows (default 1)")
+                       help="accepted for compatibility: rows run one at a time "
+                       "and the value does not change the output (default 1)")
     sweep.add_argument("--no-timing", dest="no_timing", action="store_true",
                        help="leave runtime_ms empty for byte-identical output")
     sweep.set_defaults(func=cmd_sweep)

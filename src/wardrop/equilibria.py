@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import isfinite
+from math import comb, isfinite, prod
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .latency import LatencyFn
 from .tolerances import TAU_ABS, close_leq, demand_matches, tau_rel
 
 SEARCH_VARIABLE_CAP = 8
+SEARCH_POINT_CAP = 10**5
 DEFAULT_MAX_ITER = 100_000
 
 
@@ -618,10 +619,12 @@ def worst_approx_search(
     """Costliest approximate equilibrium on a demand grid, by enumeration.
 
     The grid places ``round(demand / grid)`` equal steps per class simplex.
-    Refuses instances with more than 8 strategy-class variables.  Ties are
-    broken toward the lexicographically smallest flow vector.
+    Refuses instances with more than 8 strategy-class variables or more than
+    10^5 grid points.  Ties are broken toward the lexicographically smallest
+    flow vector.
     """
     require_valid_instance(instance)
+    tau = tau_rel()
     if not (0.0 < grid <= 0.5):
         raise InputError(
             f"grid step must lie in (0, 0.5] (two points per unit demand), got {grid}"
@@ -646,16 +649,20 @@ def worst_approx_search(
     n = len(instance.resources)
     strat_idx = instance.strategy_ids
 
-    blocks = []  # (commodity, class demand, eps, candidate rows)
-    for i, specs in enumerate(class_specs):
-        parts = len(instance.commodities[i].strategies)
-        for dem, eps_j in specs:
-            steps = max(1, round(dem / grid))
-            rows = [
-                tuple(dem * k / steps for k in comp)
-                for comp in _compositions(steps, parts)
-            ]
-            blocks.append((i, dem, eps_j, rows))
+    # (commodity, class demand, eps, steps, strategies) per class simplex
+    simplices = [
+        (i, dem, eps_j, max(1, round(dem / grid)), len(instance.commodities[i].strategies))
+        for i, specs in enumerate(class_specs)
+        for dem, eps_j in specs
+    ]
+    points = prod(comb(steps + parts - 1, parts - 1) for *_, steps, parts in simplices)
+    if points > SEARCH_POINT_CAP:
+        raise RefusalError(f"search grid has {points} points, cap is {SEARCH_POINT_CAP}")
+    blocks = [  # (commodity, class demand, eps, candidate rows)
+        (i, dem, eps_j, [tuple(dem * k / steps for k in comp)
+                         for comp in _compositions(steps, parts)])
+        for i, dem, eps_j, steps, parts in simplices
+    ]
 
     best_cost = -1.0
     best_choice = None
@@ -675,7 +682,7 @@ def worst_approx_search(
         for (i, _, eps_j, _), row in zip(blocks, choice):
             bar = (1.0 + eps_j) * min(strat_lat[i])
             for p, v in enumerate(row):
-                if v > TAU_ABS and not close_leq(strat_lat[i][p], bar):
+                if v > TAU_ABS and not close_leq(strat_lat[i][p], bar, rtol=tau):
                     ok = False
                     break
             if not ok:
@@ -693,7 +700,7 @@ def worst_approx_search(
     for (i, _, _, _), row in zip(blocks, best_choice):
         values[i].append(list(row))
     flow = Flow.build(instance, values, profile)
-    cert = verify_approx_nash(instance, flow, eps)
+    cert = verify_approx_nash(instance, flow, eps, rtol=tau)
     if not cert.passed:
         raise InvariantError(
             "grid search selected a flow that fails verification "

@@ -78,6 +78,17 @@ def _write(obj: Any, out: list[str]) -> None:
         raise InputError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+def _load_json(path: str, what: str) -> Any:
+    """Parse the JSON file at ``path``; ``what`` names it in the InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 # -- instances ---------------------------------------------------------
 
 
@@ -191,14 +202,7 @@ def write_instance(
 def read_instance(
     path: str,
 ) -> tuple[GameInstance, SensitivityProfile | None, DeviationProfile | None]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read instance file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"instance file {path} is not valid JSON: {exc}") from exc
-    return instance_from_obj(obj)
+    return instance_from_obj(_load_json(path, "instance file"))
 
 
 # -- flows -------------------------------------------------------------
@@ -267,11 +271,4 @@ def write_flow(path: str, flow: Flow) -> None:
 def read_flow(
     path: str, instance: GameInstance, profile: SensitivityProfile | None = None
 ) -> Flow:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read flow file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"flow file {path} is not valid JSON: {exc}") from exc
-    return flow_from_obj(obj, instance, profile)
+    return flow_from_obj(_load_json(path, "flow file"), instance, profile)

@@ -33,7 +33,7 @@ from .equilibria import (
     verify_deviated_nash,
 )
 from .errors import InputError, InvariantError, RefusalError
-from .jsonio import dumps_canonical
+from .jsonio import _load_json, dumps_canonical
 from .latency import DeviationFn, LatencyFn
 from .tolerances import TAU_ABS, close_leq, tau_rel
 
@@ -421,14 +421,7 @@ def write_game(
 
 
 def read_game(path) -> tuple[UniformMatroidGame, DeviationProfile | None]:
-    import json
-
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return game_from_obj(obj)
+    return game_from_obj(_load_json(path, "game file"))
 
 
 __all__ = [

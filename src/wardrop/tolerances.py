@@ -34,7 +34,7 @@ def tau_rel() -> float:
     return value
 
 
-def close_leq(lhs: float, rhs: float, *, rtol: float = 0.0) -> bool:
+def close_leq(lhs: float, rhs: float, *, rtol: float) -> bool:
     """lhs <= rhs up to the mixed tolerance TAU_ABS + rtol*|rhs|."""
     return lhs <= rhs + TAU_ABS + rtol * abs(rhs)
 

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from wardrop import ConvergenceError, cli, core
+from wardrop.equilibria import SEARCH_POINT_CAP
 from wardrop.jsonio import read_flow, read_instance
 
 
@@ -226,6 +227,20 @@ def test_analyze_grid_search(tmp_path, capsys):
     assert "--grid needs --eps" in stderr
 
 
+def test_analyze_refuses_oversized_grid_at_once(tmp_path, capsys):
+    out = str(tmp_path / "ladder.json")
+    run(capsys, "gen", "braess-sub", "--m", "3", "--eps", "0.25", "--out", out)
+    start = time.perf_counter()
+    # 5 strategies at 100 steps: C(104, 4) = 4,598,126 grid points
+    code, stdout, stderr = run(
+        capsys, "analyze", "--instance", out, "--eps", "0.25", "--grid", "0.01"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert f"4598126 points, cap is {SEARCH_POINT_CAP}" in stderr
+    assert time.perf_counter() - start < 5.0
+
+
 def test_analyze_csv_inf_bound(tmp_path, capsys):
     out = str(tmp_path / "super.json")
     run(capsys, "gen", "braess-super", "--m", "3", "--eps", "0.5", "--tau", "10",
@@ -438,31 +453,6 @@ def test_sweep_integer_range_stays_integer(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(out.read_text().splitlines()[1:]))
     assert [r[2] for r in rows] == ["2", "3", "4"]
-
-
-def test_sweep_jobs_capped_by_rows_and_cpus(tmp_path, capsys, monkeypatch):
-    spec = write_spec(tmp_path, {
-        "family": "braess-sub",
-        "params": {"m": [2, 3, 4], "eps": 0.1},
-    })
-    pools = []
-    real_pool = cli.ThreadPoolExecutor
-
-    def recording_pool(max_workers):
-        pools.append(max_workers)
-        return real_pool(max_workers=max_workers)
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    outs = []
-    for jobs in ("1", "64"):
-        out = tmp_path / f"j{jobs}.csv"
-        code, _, _ = run(capsys, "sweep", "--spec", spec, "--out", str(out),
-                         "--jobs", jobs, "--no-timing")
-        assert code == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-    assert pools == [3]
 
 
 def test_sweep_matroid_row(tmp_path, capsys):

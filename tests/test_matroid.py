@@ -280,6 +280,15 @@ def test_game_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_read_game_rejects_missing_and_invalid_files(tmp_path):
+    with pytest.raises(InputError, match="cannot read game file"):
+        read_game(tmp_path / "missing.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(InputError, match="is not valid JSON"):
+        read_game(bad)
+
+
 def test_game_round_trip_without_deviations(tmp_path):
     game = small_game()
     obj = game_to_obj(game)
