@@ -12,6 +12,7 @@ the returned bound) because the closed forms assume unit total demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isfinite, sqrt
 from typing import Iterable, Sequence
 
@@ -95,16 +96,19 @@ def sr_bound_discrete(beta: float, demands: Sequence[float], gammas: Sequence[fl
     return BoundValue("stability-ratio-discrete", value, note=note)
 
 
+def dr_tails(demands: Sequence[float], gammas: Sequence[float]) -> tuple[list[float], str | None]:
+    """Tails r_j + ... + r_h of the normalized demands, summed from the right,
+    and the note; shared with the two-arc generator, which meets the bound."""
+    r, note = _check_classes(demands, gammas)
+    return list(accumulate(reversed(r)))[::-1], note
+
+
 def dr_bound_discrete(beta: float, demands: Sequence[float], gammas: Sequence[float]) -> BoundValue:
     """Worst-case cost factor of bounded-deviation equilibria:
     1 + beta * max_j gamma_j * (r_j + ... + r_h) (unit total demand)."""
     _check_beta(beta)
-    r, note = _check_classes(demands, gammas)
-    tail = 0.0
-    best = 0.0
-    for rj, gj in zip(reversed(r), reversed(list(gammas))):
-        tail += rj
-        best = max(best, gj * tail)
+    tails, note = dr_tails(demands, gammas)
+    best = max(g * t for g, t in zip(gammas, tails))
     return BoundValue("deviation-ratio-discrete", 1.0 + beta * best, note=note)
 
 

@@ -16,14 +16,15 @@ report of ``validate_instance``), ``strategy_ids`` (each strategy as a tuple
 of resource positions), ``strategy_table`` (the same positions as one padded
 integer array per commodity), ``latencies(loads)``, which evaluates every
 resource once, and ``latency_bank``, the same evaluation compiled for numpy
-load vectors.
+load vectors.  A ``Flow`` holds one read-only float64 array of shape
+(classes, strategies) per commodity, with its loads summed at construction.
 
 All types are immutable; operations are pure functions of their arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import isfinite
@@ -306,19 +307,23 @@ def _path_violation(
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Flow:
     """Class-resolved strategy flows with cached per-resource loads.
 
-    ``values[i][j][p]`` is the amount class j of commodity i routes over
-    strategy p.  Loads are cached at construction; ``recompute_loads``
-    repeats the identical summation so the cache can be audited bit for bit.
+    ``values[i]`` is a read-only float64 array of shape (classes, strategies):
+    ``values[i][j, p]`` is the amount class j of commodity i routes over
+    strategy p.  ``loads``, a tuple of floats, is summed at construction: per
+    commodity the classes in class order, then onto the resources in
+    strategy order, then across commodities.  ``recompute_loads`` repeats
+    that order so the cache can be audited bit for bit.  Flows compare by
+    identity, since arrays have no single truth value.
     """
 
     instance: GameInstance
-    values: tuple[tuple[tuple[float, ...], ...], ...]
+    values: tuple[np.ndarray, ...]
     class_demands: tuple[tuple[float, ...], ...]
-    loads: tuple[float, ...] = field(compare=False)
+    loads: tuple[float, ...]
 
     @classmethod
     def build(
@@ -327,6 +332,8 @@ class Flow:
         values: Sequence[Sequence[Sequence[float]]],
         profile: SensitivityProfile | None = None,
     ) -> "Flow":
+        """Check rows in order (length, first bad entry, demand) and freeze
+        them; entries in [-TAU_ABS, 0) become 0.0."""
         if len(values) != len(instance.commodities):
             raise InputError(
                 f"flow covers {len(values)} commodities, instance has {len(instance.commodities)}"
@@ -337,48 +344,29 @@ class Flow:
         else:
             demands = tuple((c.demand,) for c in instance.commodities)
         rtol = tau_rel()
-        cleaned: list[tuple[tuple[float, ...], ...]] = []
+        arrays = []
         for i, commodity in enumerate(instance.commodities):
             per_class = values[i]
             if len(per_class) != len(demands[i]):
                 raise InputError(
                     f"commodity {i}: flow has {len(per_class)} classes, profile has {len(demands[i])}"
                 )
-            rows = []
-            for j, row in enumerate(per_class):
-                if len(row) != len(commodity.strategies):
-                    raise InputError(
-                        f"commodity {i} class {j}: {len(row)} strategy flows for "
-                        f"{len(commodity.strategies)} strategies"
-                    )
-                vals = []
-                for p, v in enumerate(row):
-                    v = float(v)
-                    if not isfinite(v):
-                        raise InputError(
-                            f"commodity {i} class {j} strategy {p} flow {v} is not finite"
-                        )
-                    if v < 0.0:
-                        if v < -TAU_ABS:
-                            raise InvariantError(
-                                f"commodity {i} class {j} strategy {p} flow {v} is negative"
-                            )
-                        v = 0.0
-                    vals.append(v)
-                total = sum(vals)
-                if not demand_matches(total, demands[i][j], rtol):
-                    raise InvariantError(
-                        f"commodity {i} class {j} routes {total}, demand is {demands[i][j]}"
-                    )
-                rows.append(tuple(vals))
-            cleaned.append(tuple(rows))
-        values_t = tuple(cleaned)
-        return cls(
-            instance=instance,
-            values=values_t,
-            class_demands=demands,
-            loads=_edge_loads(instance, values_t),
-        )
+            n = len(commodity.strategies)
+            try:
+                array = np.array(per_class, dtype=float)
+                if array.shape != (len(per_class), n):
+                    raise ValueError(array.shape)
+            except ValueError:  # a row of the wrong length: the rows ahead of it fail first
+                j = next((j for j, row in enumerate(per_class) if len(row) != n), len(per_class))
+                _check_rows(i, np.array(per_class[:j], dtype=float).reshape(j, n), demands[i], rtol)
+                raise InputError(
+                    f"commodity {i} class {j}: {len(per_class[j])} strategy flows for {n} strategies"
+                ) from None
+            _check_rows(i, array, demands[i], rtol)
+            array.flags.writeable = False
+            arrays.append(array)
+        values_t = tuple(arrays)
+        return cls(instance, values_t, demands, _edge_loads(instance, values_t))
 
     @classmethod
     def single_class(
@@ -394,23 +382,17 @@ class Flow:
         profile: SensitivityProfile,
     ) -> "Flow":
         """Split commodity-level strategy flows across classes pro rata."""
-        values = []
-        for i, commodity in enumerate(instance.commodities):
-            rows = []
-            for dem, _ in profile.classes[i]:
-                share = dem / commodity.demand
-                rows.append([share * v for v in per_commodity[i]])
-            values.append(rows)
+        values = [
+            np.multiply.outer(np.array([dem for dem, _ in classes]) / commodity.demand, row)
+            for commodity, classes, row in zip(
+                instance.commodities, profile.classes, per_commodity
+            )
+        ]
         return cls.build(instance, values, profile)
 
     def strategy_totals(self, i: int) -> tuple[float, ...]:
-        """Commodity-level flow per strategy (classes summed)."""
-        n = len(self.instance.commodities[i].strategies)
-        out = [0.0] * n
-        for row in self.values[i]:
-            for p, v in enumerate(row):
-                out[p] += v
-        return tuple(out)
+        """Commodity-level flow per strategy (classes summed in order)."""
+        return tuple(_class_totals(self.values[i]).tolist())
 
     def recompute_loads(self) -> tuple[float, ...]:
         """Re-derive total loads with the construction-time summation order."""
@@ -418,27 +400,46 @@ class Flow:
 
     def used(self, i: int, j: int) -> list[int]:
         """Strategies on which class j of commodity i routes more than TAU_ABS."""
-        return [p for p, v in enumerate(self.values[i][j]) if v > TAU_ABS]
+        return np.flatnonzero(self.values[i][j] > TAU_ABS).tolist()
 
 
-def _edge_loads(
-    instance: GameInstance,
-    values: tuple[tuple[tuple[float, ...], ...], ...],
-) -> tuple[float, ...]:
-    """Per-resource loads, summed within each commodity first and then
-    across commodities (the order ``recompute_loads`` audits)."""
+def _check_rows(i: int, array: np.ndarray, demands: Sequence[float], rtol: float) -> None:
+    """Raise for the first failing row of commodity i: its first non-finite
+    or negative entry, else its sum off its class demand.  Clips entries in
+    [-TAU_ABS, 0) of ``array`` to 0.0 in place."""
+    low = array.min(initial=0.0)  # NaN when some entry is
+    last = len(array)  # rows ahead of the first bad entry
+    if not (low >= -TAU_ABS and array.max(initial=0.0) < np.inf):
+        bad = np.flatnonzero(~(np.isfinite(array) & (array >= -TAU_ABS)))[0]
+        last, p = divmod(int(bad), array.shape[1])
+    head = array[:last]
+    if not low >= 0.0:
+        np.maximum(head, 0.0, out=head)
+    for j, total in enumerate(head.sum(axis=1).tolist()):
+        if not demand_matches(total, demands[j], rtol):
+            raise InvariantError(f"commodity {i} class {j} routes {total}, demand is {demands[j]}")
+    if last < len(array):
+        v = float(array[last, p])
+        if not isfinite(v):
+            raise InputError(f"commodity {i} class {last} strategy {p} flow {v} is not finite")
+        raise InvariantError(f"commodity {i} class {last} strategy {p} flow {v} is negative")
+
+
+def _class_totals(array: np.ndarray) -> np.ndarray:
+    """Per strategy, its flows added in class order (numpy's sum would add a
+    lone column pairwise)."""
+    return array.sum(axis=0) if array.shape[1] != 1 else np.cumsum(array, axis=0)[-1]
+
+
+def _edge_loads(instance: GameInstance, values: tuple[np.ndarray, ...]) -> tuple[float, ...]:
+    """Per-resource loads: per commodity, the class totals of each strategy
+    added onto its resources in strategy order; then across commodities."""
     n = len(instance.resources)
-    totals = [0.0] * n
-    for ids, rows in zip(instance.strategy_ids, values):
-        loads_i = [0.0] * n
-        for row in rows:
-            for p, v in enumerate(row):
-                if v != 0.0:
-                    for k in ids[p]:
-                        loads_i[k] += v
-        for k in range(n):
-            totals[k] += loads_i[k]
-    return tuple(totals)
+    loads = np.zeros(n + 1)
+    for table, array in zip(instance.strategy_table, values):
+        weights = _class_totals(array).repeat(table.shape[1])
+        loads += np.bincount(table.ravel(), weights, minlength=n + 1)
+    return tuple(loads[:n].tolist())
 
 
 def strategy_latencies(instance: GameInstance, i: int, loads: Sequence[float]) -> list[float]:
@@ -477,7 +478,7 @@ def _check_feasible(instance: GameInstance, flow: Flow) -> None:
         raise InputError("flow was built for a different instance")
     rtol = tau_rel()
     for i, commodity in enumerate(instance.commodities):
-        routed = sum(sum(row) for row in flow.values[i])
+        routed = float(flow.values[i].sum())
         if not demand_matches(routed, commodity.demand, rtol):
             raise InvariantError(
                 f"commodity {i} routes {routed}, demand is {commodity.demand}"

@@ -160,18 +160,19 @@ def _resolve_profile(
 # -- verification ---------------------------------------------------------
 
 
-def _worst_used(i: int, j: int, strategies, costs, used, witness_p: int, rhs: float):
-    """Record for the costliest used strategy of class j of commodity i."""
-    worst_p = max(used, key=costs.__getitem__)
-    return ViolationRecord(
-        commodity=i,
-        cls=j,
-        path=strategies[worst_p],
-        witness=strategies[witness_p],
-        lhs=costs[worst_p],
-        rhs=rhs,
-        slack=rhs - costs[worst_p],
-    )
+def _worst_used(i: int, strategies, costs: np.ndarray, used: np.ndarray, witness, rhs):
+    """Per class of commodity i that uses a strategy (mask ``used``), a record
+    of its costliest used strategy, the first among equals, against the
+    class's ``witness`` and ``rhs``.  ``costs`` has one row per class, or one
+    row for all."""
+    masked = np.where(used, costs, -np.inf)
+    worst = masked.argmax(axis=1)
+    lhs = masked[np.arange(len(masked)), worst]
+    return [
+        ViolationRecord(i, j, strategies[p], strategies[witness[j]], l, rhs[j], rhs[j] - l)
+        for j, (p, l) in enumerate(zip(worst.tolist(), lhs.tolist()))
+        if l != -np.inf
+    ]
 
 
 def verify_approx_nash(
@@ -192,16 +193,14 @@ def verify_approx_nash(
     profile = _resolve_profile(instance, flow, eps, tau)
     records: list[ViolationRecord] = []
     for i, commodity in enumerate(instance.commodities):
-        lat = strategy_latencies(instance, i, flow.loads)
-        min_lat = min(lat)
-        witness_p = lat.index(min_lat)
-        for j, (_, eps_j) in enumerate(profile.classes[i]):
-            used = flow.used(i, j)
-            if used:
-                rhs = (1.0 + eps_j) * min_lat
-                records.append(
-                    _worst_used(i, j, commodity.strategies, lat, used, witness_p, rhs)
-                )
+        lat = np.array([strategy_latencies(instance, i, flow.loads)])
+        witness_p = int(lat.argmin())
+        min_lat = float(lat[0, witness_p])
+        rhs = [(1.0 + eps_j) * min_lat for _, eps_j in profile.classes[i]]
+        records += _worst_used(
+            i, commodity.strategies, lat, flow.values[i] > TAU_ABS,
+            [witness_p] * len(rhs), rhs,
+        )
     return EquilibriumCertificate.from_records("approx-nash", records, rtol)
 
 
@@ -227,17 +226,16 @@ def verify_deviated_nash(
     deviations.check_membership(instance, flow)
     records: list[ViolationRecord] = []
     for i, commodity in enumerate(instance.commodities):
-        lat = strategy_latencies(instance, i, flow.loads)
-        dev = deviations.strategy_deviations(instance, i, flow.loads)
-        for j, (_, gamma_j) in enumerate(prof.classes[i]):
-            qvals = [lat[p] + gamma_j * dev[p] for p in range(len(lat))]
-            used = flow.used(i, j)
-            if not used:
-                continue
-            rhs = min(qvals)
-            records.append(
-                _worst_used(i, j, commodity.strategies, qvals, used, qvals.index(rhs), rhs)
-            )
+        lat = np.array(strategy_latencies(instance, i, flow.loads))
+        dev = np.array(deviations.strategy_deviations(instance, i, flow.loads))
+        gammas = np.array([gamma for _, gamma in prof.classes[i]])
+        costs = lat + np.multiply.outer(gammas, dev)
+        witness = costs.argmin(axis=1)
+        rhs = costs[np.arange(len(costs)), witness]
+        records += _worst_used(
+            i, commodity.strategies, costs, flow.values[i] > TAU_ABS,
+            witness.tolist(), rhs.tolist(),
+        )
     return EquilibriumCertificate.from_records("deviated-nash", records, rtol)
 
 
@@ -266,13 +264,10 @@ def deviations_from_approx(
     lat = strategy_latencies(instance, 0, flow.loads)
     used = set(flow.used(0, 0))
     l_max = max(lat[p] for p in used)
-    values = []
-    for p in range(len(lat)):
-        if p in used:
-            values.append(max(0.0, (l_max - lat[p]) / gamma))
-        else:
-            values.append(beta * lat[p])
-    return DeviationProfile(beta=beta, strategy_values=(tuple(values),))
+    values = tuple(
+        max(0.0, (l_max - v) / gamma) if p in used else beta * v for p, v in enumerate(lat)
+    )
+    return DeviationProfile(beta=beta, strategy_values=(values,))
 
 
 def verify_deviation_implies_approx(
@@ -516,11 +511,10 @@ def compute_nash_flow(
         profile.validate(instance)
     rtol = tau_rel()
     flows, _ = _frank_wolfe(instance, min(rtol, 1e-11), DEFAULT_MAX_ITER, rtol)
-    per_commodity = [list(map(float, f)) for f in flows]
     if profile is None:
-        flow = Flow.single_class(instance, per_commodity)
+        flow = Flow.single_class(instance, flows)
     else:
-        flow = Flow.spread_classes(instance, per_commodity, profile)
+        flow = Flow.spread_classes(instance, flows, profile)
     cert = verify_approx_nash(instance, flow, 0.0, rtol=rtol)
     if not cert.passed:
         raise ConvergenceError(
@@ -570,7 +564,7 @@ def heterogeneous_parallel_equilibrium(
                 for strat in commodity.strategies
             )))
 
-    flows = [np.array(row) for rows in flow.values for row in rows]
+    flows = [row for rows in flow.values for row in rows]
     frozen = np.array(flow.loads)
     slack, step = 0.0, 1.0
     for _ in range(max_rounds):
@@ -582,7 +576,7 @@ def heterogeneous_parallel_equilibrium(
         ), tuple(commodities))
         tol = max(rtol, min(1e-3, abs(slack) / 10))
         flows, _ = _frank_wolfe(game, 1e-2 * tol, DEFAULT_MAX_ITER, tol, start=flows)
-        rows = iter(list(map(float, f)) for f in flows)
+        rows = iter(flows)
         flow = Flow.build(instance, [[next(rows) for _ in c] for c in profile.classes], profile)
         cert = verify_deviated_nash(instance, flow, deviations, profile, rtol=rtol)
         if cert.passed:
@@ -649,6 +643,10 @@ def worst_approx_search(
     n = len(instance.resources)
     strat_idx = instance.strategy_ids
 
+    # refused before rounding, where a subnormal step overflows demand / grid
+    if max(dem for specs in class_specs for dem, _ in specs) / grid > SEARCH_POINT_CAP:
+        raise RefusalError(f"grid step {grid} splits a class demand into more than "
+                           f"{SEARCH_POINT_CAP} steps, cap is {SEARCH_POINT_CAP}")
     # (commodity, class demand, eps, steps, strategies) per class simplex
     simplices = [
         (i, dem, eps_j, max(1, round(dem / grid)), len(instance.commodities[i].strategies))
@@ -678,16 +676,12 @@ def worst_approx_search(
             [sum(lat[e] for e in ids) for ids in strat_idx[i]]
             for i in range(len(instance.commodities))
         ]
-        ok = True
-        for (i, _, eps_j, _), row in zip(blocks, choice):
-            bar = (1.0 + eps_j) * min(strat_lat[i])
-            for p, v in enumerate(row):
-                if v > TAU_ABS and not close_leq(strat_lat[i][p], bar, rtol=tau):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if not all(
+            close_leq(strat_lat[i][p], (1.0 + eps_j) * min(strat_lat[i]), rtol=tau)
+            for (i, _, eps_j, _), row in zip(blocks, choice)
+            for p, v in enumerate(row)
+            if v > TAU_ABS
+        ):
             continue
         cost = sum(loads[e] * lat[e] for e in range(n))
         if cost > best_cost:

@@ -14,7 +14,9 @@ import heapq
 import random
 from dataclasses import dataclass
 
-from .bounds import BoundValue, braess_sup, dr_bound_discrete, sr_bound_discrete
+import numpy as np
+
+from .bounds import BoundValue, braess_sup, dr_bound_discrete, dr_tails, sr_bound_discrete
 from .core import (
     Commodity,
     DeviationProfile,
@@ -418,10 +420,9 @@ def gen_parallel_sr(
         meta=meta,
     )
     profile = SensitivityProfile.single_commodity(r, g)
-    x_values = [[[0.0] * (h + 1) for _ in range(h)]]
-    for j in range(h):
-        x_values[0][j][j + 1] = r[j]
-    x = Flow.build(instance, x_values, profile)
+    x_values = np.zeros((h, h + 1))
+    x_values[np.arange(h), np.arange(1, h + 1)] = r
+    x = Flow.build(instance, [x_values], profile)
     z = Flow.spread_classes(instance, [[1.0] + [0.0] * h], profile)
     return instance, profile, x, z, bound
 
@@ -447,7 +448,7 @@ def gen_two_arc_dr(
         raise InputError(f"beta must be nonnegative, got {beta}")
     r, g, total = _normalize_demands(demands, gammas)
     h = len(r)
-    tails = [sum(r[p:]) for p in range(h)]
+    tails, _ = dr_tails(r, g)
     if j is None:
         j = 1 + max(range(h), key=lambda p: g[p] * tails[p])
     if not isinstance(j, int) or not 1 <= j <= h:
@@ -481,7 +482,7 @@ def gen_two_arc_dr(
             "eps_prime": eps_local,
         },
         "bound": bound.to_obj(),
-        "achieved": 1.0 if degenerate else 1.0 + rise * tail,
+        "achieved": 1.0 if degenerate else 1.0 + beta * (g[j - 1] * tail),
     }
     if total != 1.0:
         meta["params"]["demand_scale"] = total

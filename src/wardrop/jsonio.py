@@ -209,20 +209,13 @@ def read_instance(
 
 
 def flow_to_obj(flow: Flow) -> list[dict]:
-    records = []
-    for i, commodity in enumerate(flow.instance.commodities):
-        for j, row in enumerate(flow.values[i]):
-            for p, value in enumerate(row):
-                if value != 0.0:
-                    records.append(
-                        {
-                            "commodity": i,
-                            "class": j,
-                            "path": list(commodity.strategies[p]),
-                            "value": value,
-                        }
-                    )
-    return records
+    return [
+        {"commodity": i, "class": j, "path": list(commodity.strategies[p]), "value": value}
+        for i, commodity in enumerate(flow.instance.commodities)
+        for j, row in enumerate(flow.values[i].tolist())
+        for p, value in enumerate(row)
+        if value != 0.0
+    ]
 
 
 def flow_from_obj(

@@ -241,6 +241,20 @@ def test_analyze_refuses_oversized_grid_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 5.0
 
 
+def test_analyze_refuses_subnormal_grid_before_rounding(tmp_path, capsys):
+    out = str(tmp_path / "ladder.json")
+    run(capsys, "gen", "braess-sub", "--m", "3", "--eps", "0.25", "--out", out)
+    # 1/1e-320 overflows to infinity; 1/1e-300 has a 301-digit point count
+    for grid in ("1e-320", "1e-300"):
+        code, stdout, stderr = run(
+            capsys, "analyze", "--instance", out, "--eps", "0.25", "--grid", grid
+        )
+        assert code == 2
+        assert stdout == ""
+        assert f"more than {SEARCH_POINT_CAP} steps, cap is {SEARCH_POINT_CAP}" in stderr
+        assert len(stderr) < 200
+
+
 def test_analyze_csv_inf_bound(tmp_path, capsys):
     out = str(tmp_path / "super.json")
     run(capsys, "gen", "braess-super", "--m", "3", "--eps", "0.5", "--tau", "10",

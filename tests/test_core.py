@@ -24,6 +24,7 @@ from wardrop import (
     SensitivityProfile,
     compute_nash_flow,
     gen_braess_subcritical,
+    gen_parallel_sr,
     gen_two_arc_dr,
     social_cost,
     strategy_latencies,
@@ -35,9 +36,11 @@ from wardrop.core import require_valid_instance
 
 from corpus import (
     generator_corpus,
+    matroid_corpus,
     random_feasible_flow,
     random_parallel_instance,
     random_profile,
+    seeded_case,
 )
 
 
@@ -140,6 +143,56 @@ def test_flow_cache_reproduces_bit_for_bit():
         inst = random_parallel_instance(rng)
         flow = random_feasible_flow(rng, inst)
         assert flow.recompute_loads() == flow.loads
+
+
+def reference_loads(flow: Flow) -> tuple[float, ...]:
+    """Per-resource loads by the row-by-row loop: within a commodity, class
+    by class, strategy by strategy, resource by resource (zeros skipped);
+    then across commodities."""
+    instance = flow.instance
+    n = len(instance.resources)
+    totals = [0.0] * n
+    for ids, rows in zip(instance.strategy_ids, flow.values):
+        loads_i = [0.0] * n
+        for row in rows.tolist():
+            for p, v in enumerate(row):
+                if v != 0.0:
+                    for k in ids[p]:
+                        loads_i[k] += v
+        for k in range(n):
+            totals[k] += loads_i[k]
+    return tuple(totals)
+
+
+def test_loads_match_reference_loop_bit_for_bit():
+    # The array summation adds classes before resources.  That is the loop's
+    # order on single-class flows and wherever each resource lies in one
+    # strategy (parallel links), so there the bits must agree.
+    flows = []
+    for case in generator_corpus():
+        flows.append(compute_nash_flow(case["instance"]))
+        flows += [case[key] for key in ("x", "z") if case[key] is not None]
+    for case in matroid_corpus():
+        flows += [compute_nash_flow(case["game"].instance), case["x"], case["z"]]
+    for seed in range(12):
+        for family in ("grid", "random-sp", "matroid", "multicommodity"):
+            rng, instance, _profile = seeded_case(family, seed)
+            flows.append(random_feasible_flow(rng, instance))
+        rng = random.Random(seed)
+        instance = random_parallel_instance(rng, n_links=rng.choice((1, 4)))
+        flows.append(random_feasible_flow(rng, instance, random_profile(rng, instance, 25)))
+    flows.append(gen_parallel_sr(1.0, [1.0 + k % 7 for k in range(60)], range(60))[2])
+    assert any(len(flow.values[0]) > 20 for flow in flows)
+    for flow in flows:
+        if len(flow.values[0]) > 1:
+            assert all(len(ids) == 1 for ids in flow.instance.strategy_ids[0])
+        assert list(map(float.hex, flow.loads)) == list(map(float.hex, reference_loads(flow)))
+
+
+def test_flow_values_are_read_only():
+    flow = Flow.single_class(pigou(), [[0.5, 0.5]])
+    with pytest.raises(ValueError):
+        flow.values[0][0, 0] = 1.0
 
 
 def test_flow_cache_close_under_reordered_summation():

@@ -174,6 +174,19 @@ def test_two_arc_demand_rescaling():
     assert sum(sum(row) for row in x.values[0]) == pytest.approx(1.0)
 
 
+def test_two_arc_achieved_equals_bound_exactly():
+    # the generator and the bound share one tails computation, so the cost
+    # the family attains is the bound's value bit for bit
+    rng = random.Random(20)
+    for _ in range(200):
+        h = int(10 ** rng.uniform(0.0, 3.0))
+        demands = [rng.uniform(0.01, 1.0) for _ in range(h)]
+        gammas = sorted(rng.sample(range(1, 10_000), h))
+        beta = rng.uniform(0.1, 2.0)
+        instance, *_, bound = gen_two_arc_dr(beta, demands, [g / 1000 for g in gammas])
+        assert instance.meta["achieved"] == bound.value
+
+
 def test_generator_validation():
     with pytest.raises(InputError):
         build_braess_graph(1)
